@@ -701,10 +701,6 @@ bool compute_reachability_incremental(
 
   cap.r = std::move(r);
   cap.valid = true;
-  delta->rk_row_old_of_new =
-      cses_map[static_cast<std::size_t>(res.round_part.front())];
-  delta->rk_col_old_of_new =
-      cdes_map[static_cast<std::size_t>(res.round_part.back())];
   res.rk = acc;
   res.seconds_matrices = watch.seconds();
   *out = std::move(res);

@@ -8,24 +8,13 @@
 
 #include "io/text_format.hpp"
 #include "obs/obs.hpp"
+#include "support/fnv.hpp"
 #include "support/machine_info.hpp"
 #include "wormhole/fault_schedule.hpp"
 
 namespace lamb::fleet {
 
 namespace {
-
-// FNV-1a over the outcome stream (same construction as the serve
-// loadgen). Timing never enters; tick-indexed integers only.
-struct Digest {
-  std::uint64_t value = 1469598103934665603ULL;
-  void mix(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      value ^= (x >> (8 * i)) & 0xff;
-      value *= 1099511628211ULL;
-    }
-  }
-};
 
 void tally(const serve::Client::Outcome& outcome, FleetLoadgenResult* result) {
   ++result->outcomes;
@@ -94,7 +83,9 @@ FleetLoadgenResult run_fleet_loadgen(const FleetLoadgenConfig& config) {
   FleetLoadgenResult result;
   result.storm_events = storm_events;
   result.chaos_events = chaos.size();
-  Digest digest;
+  // Digest of the outcome stream. Timing never enters; tick-indexed
+  // integers only.
+  support::Fnv1a digest;
   std::vector<serve::Client::Outcome> outcomes;
   std::vector<double> latencies;
   bool draining = false;

@@ -21,7 +21,10 @@ namespace {
 constexpr char kSnapshotMagic[kMagicSize + 1] = "LAMBSNAP";
 constexpr char kJournalMagic[kMagicSize + 1] = "LAMBJRNL";
 // Version 2: EpochReport gained the incremental-reconfigure fields.
-constexpr std::uint32_t kSnapshotVersion = 2;
+// Version 3: EpochReport lost its retained-flow fraction (the cover is
+// solved cold, so there is no warm-start flow to report); a version-2
+// history would misalign by one f64 per report, so it is refused instead.
+constexpr std::uint32_t kSnapshotVersion = 3;
 constexpr std::uint32_t kJournalVersion = 1;
 constexpr std::size_t kJournalHeaderSize = kMagicSize + 4 + 8 + 4;
 constexpr char kJournalName[] = "journal.lmj";

@@ -8,24 +8,13 @@
 #include "io/text_format.hpp"
 #include "manager/machine_manager.hpp"
 #include "obs/obs.hpp"
+#include "support/fnv.hpp"
 #include "support/machine_info.hpp"
 #include "wormhole/fault_schedule.hpp"
 
 namespace lamb::serve {
 
 namespace {
-
-// FNV-1a over the outcome stream (same construction as fault_storm's
-// trial digest). Timing never enters; tick-indexed integers only.
-struct Digest {
-  std::uint64_t value = 1469598103934665603ULL;
-  void mix(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      value ^= (x >> (8 * i)) & 0xff;
-      value *= 1099511628211ULL;
-    }
-  }
-};
 
 void tally(const Client::Outcome& outcome, LoadgenResult* result) {
   ++result->outcomes;
@@ -76,7 +65,9 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
 
   LoadgenResult result;
   result.storm_events = static_cast<std::int64_t>(storm.events.size());
-  Digest digest;
+  // Digest of the outcome stream. Timing never enters; tick-indexed
+  // integers only.
+  support::Fnv1a digest;
   std::vector<Client::Outcome> outcomes;
   std::vector<double> latencies;
   std::int64_t publish_due = -1;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -114,27 +115,54 @@ TEST(StateDir, TornJournalTailIsTruncated) {
 }
 
 TEST(StateDir, CorruptNewestSnapshotFallsBackAndQuarantines) {
-  const std::string dir = state_dir("fallback");
-  {
+  // Two ways the newest snapshot can be unusable: damaged payload bits,
+  // and a seal from snapshot version 2, whose epoch reports carry one
+  // field more than version 3 and so must be refused, never parsed.
+  const auto flip_bit = [](const std::string& path) {
+    ASSERT_TRUE(io::storage_fault::bit_flip(path, io::kSealHeaderSize + 1, 3));
+  };
+  const auto reseal_at_version_2 = [](const std::string& path) {
+    std::string file;
+    ASSERT_TRUE(io::read_file_bytes(path, &file, nullptr));
+    std::string_view payload;
+    ASSERT_TRUE(io::unseal(file, "LAMBSNAP", 3, &payload).ok());
+    LoadError err;
+    ASSERT_TRUE(io::atomic_write_file(path, io::seal("LAMBSNAP", 2, payload),
+                                      false, &err));
+  };
+  struct Case {
+    const char* name;
+    std::function<void(const std::string&)> damage;
+    LoadError::Code code;
+  };
+  const Case cases[] = {
+      {"bit_flip", flip_bit, LoadError::Code::kBadCrc},
+      {"version_2", reseal_at_version_2, LoadError::Code::kBadVersion},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = state_dir(std::string("fallback_") + c.name);
+    {
+      StateDir state(dir, fast());
+      ASSERT_TRUE(state.write_snapshot("good-old").ok());
+      ASSERT_TRUE(state.write_snapshot("bad-new").ok());
+    }
+    c.damage(newest_snapshot_path(dir));
+    EXPECT_EQ(StateDir::scan(dir).snapshots.front().error.code, c.code);
+
     StateDir state(dir, fast());
-    ASSERT_TRUE(state.write_snapshot("good-old").ok());
-    ASSERT_TRUE(state.write_snapshot("bad-new").ok());
+    StateDir::Recovered rec;
+    ASSERT_TRUE(state.recover(&rec).ok());
+    EXPECT_EQ(rec.seq, 1u);
+    EXPECT_EQ(rec.snapshot_payload, "good-old");
+    // Both the corrupt snapshot and its (now unusable) journal moved aside.
+    EXPECT_EQ(rec.quarantined.size(), 2u);
+    EXPECT_TRUE(rec.journal_tail_dropped);
+
+    // A fresh lineage must sort above the dead seq 2, not reuse it.
+    ASSERT_TRUE(state.write_snapshot("fresh").ok());
+    EXPECT_EQ(state.seq(), 3u);
   }
-  ASSERT_TRUE(io::storage_fault::bit_flip(newest_snapshot_path(dir),
-                                          io::kSealHeaderSize + 1, 3));
-
-  StateDir state(dir, fast());
-  StateDir::Recovered rec;
-  ASSERT_TRUE(state.recover(&rec).ok());
-  EXPECT_EQ(rec.seq, 1u);
-  EXPECT_EQ(rec.snapshot_payload, "good-old");
-  // Both the corrupt snapshot and its (now unusable) journal moved aside.
-  EXPECT_EQ(rec.quarantined.size(), 2u);
-  EXPECT_TRUE(rec.journal_tail_dropped);
-
-  // A fresh lineage must sort above the dead seq 2, not reuse it.
-  ASSERT_TRUE(state.write_snapshot("fresh").ok());
-  EXPECT_EQ(state.seq(), 3u);
 }
 
 TEST(StateDir, StaleJournalFromBeforeSnapshotIsDiscarded) {

@@ -1,6 +1,6 @@
 // Unit tests for the support module: RNG determinism and distribution
 // sanity, sampling without replacement, accumulator statistics, bitsets,
-// and environment helpers.
+// the FNV-1a digest, and environment helpers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 
 #include "support/bitset.hpp"
 #include "support/env.hpp"
+#include "support/fnv.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -180,6 +181,21 @@ TEST(Bits, AnyAndClear) {
   EXPECT_TRUE(b.any());
   b.clear();
   EXPECT_FALSE(b.any());
+}
+
+// The loadgen and fault-storm digests are recorded values, so the
+// helper's output is pinned: any change here would move all of them.
+TEST(Fnv1a, MatchesRecordedDigest) {
+  support::Fnv1a empty;
+  EXPECT_EQ(empty.value, 0x14650fb0739d0383ULL);
+  support::Fnv1a zero;
+  zero.mix(0);
+  EXPECT_EQ(zero.value, 0x47fe0d7eaf8e51e3ULL);
+  support::Fnv1a d;
+  const std::uint64_t words[] = {0, 1, 0x0123456789abcdef, ~0ULL, 42};
+  for (std::uint64_t x : words) d.mix(x);
+  d.mix(static_cast<std::uint64_t>(std::int64_t{-7}));
+  EXPECT_EQ(d.value, 0x12fc51c661d1f3aeULL);
 }
 
 TEST(Env, FallbackWhenUnset) {

@@ -49,6 +49,7 @@
 #include "manager/recovery.hpp"
 #include "obs/obs.hpp"
 #include "support/env.hpp"
+#include "support/fnv.hpp"
 #include "support/machine_info.hpp"
 #include "support/parallel.hpp"
 #include "support/quantiles.hpp"
@@ -98,19 +99,6 @@ using Args = io::CliArgs;
   std::exit(2);
 }
 
-// FNV-1a over the outcome numbers: a stable fingerprint of the whole run
-// that two invocations (any thread count) can be compared by.
-struct Digest {
-  std::uint64_t h = 1469598103934665603ULL;
-  void mix(std::int64_t v) {
-    auto u = static_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  }
-};
-
 // Nearest-rank percentile (shared support::quantiles implementation;
 // copies because the caller keeps insertion order for the per-epoch
 // log).
@@ -132,9 +120,13 @@ struct TrialTotals {
 
 // ------------------------------------------------- durable progress file
 //
-// Sealed ("LAMBPROG" v1) epoch-boundary resume point. next_epoch is the
+// Sealed ("LAMBPROG") epoch-boundary resume point. next_epoch is the
 // epoch about to run: in [1, epochs) the checkpoint + rng state rewind
 // the current trial; >= epochs the next trial starts from its own seed.
+// Version 2: the embedded checkpoint's epoch reports lost their
+// retained-flow fraction (the change behind snapshot version 3); a
+// version-1 file is refused and the run starts fresh.
+constexpr std::uint32_t kProgressVersion = 2;
 
 struct Progress {
   bool complete = false;
@@ -170,7 +162,7 @@ std::string encode_progress(const Progress& p, std::uint64_t fingerprint,
     io::encode(w, shape);
     io::encode(w, p.checkpoint, shape.dim());
   }
-  return io::seal("LAMBPROG", 1, w.data());
+  return io::seal("LAMBPROG", kProgressVersion, w.data());
 }
 
 // Returns false on any corruption (treated as a fresh start — the digest
@@ -180,7 +172,9 @@ bool decode_progress(std::string_view bytes, std::uint64_t fingerprint,
                      const MeshShape& shape, Progress* out,
                      bool* config_mismatch) {
   std::string_view payload;
-  if (!io::unseal(bytes, "LAMBPROG", 1, &payload).ok()) return false;
+  if (!io::unseal(bytes, "LAMBPROG", kProgressVersion, &payload).ok()) {
+    return false;
+  }
   io::ByteReader r(payload);
   std::uint64_t fp = 0;
   std::uint8_t complete = 0, has_checkpoint = 0;
@@ -251,7 +245,7 @@ int cmd_run(const Args& args) {
               node_kills, link_kills, horizon);
 
   // Config fingerprint: a state dir can only resume the run that made it.
-  Digest config;
+  support::Fnv1a config;
   for (const char c : shape.to_string()) config.mix(c);
   for (const long v : {trials, initial_faults, epochs, messages, node_kills,
                        link_kills, horizon,
@@ -264,7 +258,7 @@ int cmd_run(const Args& args) {
   std::memcpy(&budget_bits, &lamb_options.budget_seconds,
               sizeof(budget_bits));
   config.mix(static_cast<std::int64_t>(budget_bits));
-  const std::uint64_t fingerprint = config.h;
+  const std::uint64_t fingerprint = config.value;
 
   namespace fs = std::filesystem;
   const std::string progress_path =
@@ -273,7 +267,9 @@ int cmd_run(const Args& args) {
       state_dir.empty() ? "" : state_dir + "/machine";
 
   Rng master(seed);
-  Digest digest;
+  // Digest of the outcome numbers: a stable fingerprint of the whole run
+  // that two invocations (any thread count) can be compared by.
+  support::Fnv1a digest;
   TrialTotals totals;
   Rng rng(0);  // per-trial generator, (re)seeded below
   long start_trial = 0;
@@ -300,7 +296,7 @@ int cmd_run(const Args& args) {
         std::printf("OK (already complete)\n");
         return 0;
       }
-      digest.h = saved.digest;
+      digest.value = saved.digest;
       totals = saved.totals;
       start_trial = saved.next_trial;
       start_epoch = saved.next_epoch;
@@ -335,7 +331,7 @@ int cmd_run(const Args& args) {
         // Mid-trial progress without a checkpoint should not exist; the
         // only safe interpretation is a full restart (the digest is
         // reproducible from the seed).
-        digest = Digest{};
+        digest = support::Fnv1a{};
         totals = TrialTotals{};
         start_trial = 0;
         start_epoch = 0;
@@ -357,7 +353,7 @@ int cmd_run(const Args& args) {
     p.complete = complete;
     p.next_trial = next_trial;
     p.next_epoch = next_epoch;
-    p.digest = digest.h;
+    p.digest = digest.value;
     p.totals = totals;
     p.rng_state = rng.state();
     if (mgr != nullptr) {
@@ -493,12 +489,12 @@ int cmd_run(const Args& args) {
               "(%zu epochs)\n",
               p50, p95, p99, reconfigure_seconds.size());
   std::printf("digest: %016llx\n",
-              static_cast<unsigned long long>(digest.h));
+              static_cast<unsigned long long>(digest.value));
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     char digest_hex[17];
     std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
-                  static_cast<unsigned long long>(digest.h));
+                  static_cast<unsigned long long>(digest.value));
     out << "{\n  \"tool\": \"fault_storm\",\n"
         << support::machine_info_json()
         << "  \"mesh\": \"" << shape.to_string() << "\",\n"

@@ -32,6 +32,9 @@ Outcome run(const MeshShape& shape, const FaultSet& faults,
             const std::vector<NodeId>& lambs, wormhole::Pattern pattern,
             bool load_aware, std::uint64_t seed) {
   Rng rng(seed);
+  // Random tie-breaks draw from their own stream, so both policies route
+  // the same endpoint sequence.
+  Rng tie_rng(seed ^ 0x71e);
   // Survivor endpoints, as in generate_traffic, but routed through the
   // cache so the load-aware policy can see accumulated usage.
   std::vector<NodeId> survivors;
@@ -56,7 +59,7 @@ Outcome run(const MeshShape& shape, const FaultSet& faults,
                      ? hotspot
                      : survivors[rng.below(survivors.size())];
     if (dst == src) continue;
-    auto route = cache.build(src, dst, rng, load_aware ? &load : nullptr);
+    auto route = cache.build(src, dst, tie_rng, load_aware ? &load : nullptr);
     if (!route) continue;
     wormhole::Message msg;
     msg.id = id++;

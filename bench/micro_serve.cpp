@@ -5,7 +5,10 @@
 // determinism gate), and every covered pair of a certified epoch vends a
 // route (failed_requests == 0) with the queues fully drained. The
 // single-threaded pass's vend-latency quantiles and throughput are the
-// reported rows. With --json PATH the results are written as a JSON
+// reported rows. A third row prices the vend layer alone: route_p50_ns is
+// the median RouteTable::route call over a fixed replay of survivor pairs
+// against a warm table of the scenario's first epoch, gated with a max.
+// With --json PATH the results are written as a JSON
 // document (BENCH_micro_serve.json in CI).
 #include <cinttypes>
 #include <cstdio>
@@ -14,10 +17,14 @@
 #include <vector>
 
 #include "io/cli_args.hpp"
+#include "io/text_format.hpp"
+#include "manager/machine_manager.hpp"
 #include "obs/obs.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/route_table.hpp"
 #include "support/machine_info.hpp"
 #include "support/parallel.hpp"
+#include "support/samples.hpp"
 #include "support/stats.hpp"
 
 using namespace lamb;
@@ -30,8 +37,56 @@ struct Row {
   serve::LoadgenResult result;
 };
 
+// Upper bound on route_p50_ns. On a 4-core x86 VM the reservoir scan
+// over the whole flood intersection measured 3.2-3.7 us on this row, the
+// bounding-box chooser 0.4-0.6 us.
+constexpr double kRouteP50MaxNs = 1600.0;
+
+// Median wall time of one RouteTable::route call, in ns. The table is the
+// loadgen scenario's first epoch (same mesh, seed and initial faults);
+// the replay is a fixed list of survivor pairs, routed once to warm every
+// endpoint's floods and then timed call by call over several passes.
+double route_p50_ns(const serve::LoadgenConfig& config) {
+  const MeshShape shape = io::parse_geometry(config.mesh);
+  Rng rng(config.seed);
+  manager::MachineManager manager(shape);
+  const FaultSet initial =
+      FaultSet::random_nodes(shape, config.initial_node_faults, rng);
+  for (const NodeId id : initial.node_faults()) {
+    manager.report_node_fault(id);
+  }
+  manager.reconfigure();
+  const auto table = serve::RouteTable::capture(manager, /*published_tick=*/0);
+
+  const std::vector<NodeId>& survivors = table->survivors();
+  const auto pick = [&] {
+    return survivors[rng.below(static_cast<std::uint64_t>(survivors.size()))];
+  };
+  std::vector<std::pair<NodeId, NodeId>> replay;
+  while (replay.size() < 4096) {
+    const NodeId src = pick();
+    const NodeId dst = pick();
+    if (src != dst) replay.emplace_back(src, dst);
+  }
+  for (std::size_t i = 0; i < replay.size(); ++i) {
+    Rng tie(i);
+    table->route(replay[i].first, replay[i].second, tie);
+  }
+  Samples ns;
+  for (int pass = 0; pass < 8; ++pass) {
+    for (std::size_t i = 0; i < replay.size(); ++i) {
+      Rng tie(i);
+      Stopwatch watch;
+      const auto route = table->route(replay[i].first, replay[i].second, tie);
+      ns.add(watch.seconds() * 1e9);
+    }
+  }
+  return ns.median();
+}
+
 void write_json(const std::string& path, const serve::LoadgenConfig& config,
-                const std::vector<Row>& rows, bool digest_stable) {
+                const std::vector<Row>& rows, bool digest_stable,
+                double route_p50) {
   const serve::LoadgenResult& base = rows.front().result;
   std::ofstream out(path);
   out << "{\n  \"bench\": \"micro_serve\",\n"
@@ -49,10 +104,13 @@ void write_json(const std::string& path, const serve::LoadgenConfig& config,
       << base.served_fresh + base.served_stale + base.served_fallback
       << ",\n"
       << "  \"vend_p99_us\": " << base.vend_latency.p99 * 1e6 << ",\n"
+      << "  \"route_p50_ns\": " << route_p50 << ",\n"
       << "  \"gates\": [\n"
       << "    {\"metric\": \"digest_stable\", \"equals\": 1},\n"
       << "    {\"metric\": \"failed_requests\", \"equals\": 0},\n"
-      << "    {\"metric\": \"final_queue_depth\", \"equals\": 0}\n"
+      << "    {\"metric\": \"final_queue_depth\", \"equals\": 0},\n"
+      << "    {\"metric\": \"route_p50_ns\", \"max\": " << kRouteP50MaxNs
+      << "}\n"
       << "  ],\n"
       << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -127,9 +185,12 @@ int main(int argc, char** argv) {
       base.vend_latency.p99 * 1e6);
   std::printf("  digest across thread counts: %s\n",
               digest_stable ? "bit-identical" : "MISMATCH");
+  const double route_p50 = route_p50_ns(config);
+  std::printf("  warm RouteTable::route p50 %.0f ns (gate <= %.0f)\n",
+              route_p50, kRouteP50MaxNs);
 
   if (!json_path.empty()) {
-    write_json(json_path, config, rows, digest_stable);
+    write_json(json_path, config, rows, digest_stable, route_p50);
   }
   if (!digest_stable) return 1;
   if (base.failed_requests > 0 || base.final_queue_depth > 0) return 1;

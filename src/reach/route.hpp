@@ -24,6 +24,11 @@ struct RouteSegment {
   Coord steps = 0;
 };
 
+// Direction and hop count to travel from coordinate a to b in dimension
+// j. On a torus this is the shorter way around, ties toward Dir::Pos.
+void segment_geometry(const MeshShape& shape, int j, Coord a, Coord b,
+                      Dir* dir, Coord* steps);
+
 // The unique pi-route from v to w. On a torus each dimension travels the
 // shorter way around, breaking ties toward Dir::Pos.
 std::vector<RouteSegment> dim_ordered_route(const MeshShape& shape,

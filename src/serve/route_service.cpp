@@ -123,7 +123,6 @@ RouteResponse RouteService::serve(const RouteRequest& request,
                                   std::int64_t now) const {
   Stopwatch timer;
   const std::shared_ptr<const RouteTable> table = table_.load();
-  const std::shared_ptr<const RouteTable> certified = last_certified();
   const bool window = window_open_.load();
 
   RouteResponse response;
@@ -133,6 +132,7 @@ RouteResponse RouteService::serve(const RouteRequest& request,
   // The last serving rung: a one-round dimension-ordered route for pairs
   // the last certified solve covered; below it only typed rejection.
   auto fallback_rung = [&]() {
+    const std::shared_ptr<const RouteTable> certified = last_certified();
     if (certified != nullptr && certified->covers(request.src, request.dst)) {
       if (auto route =
               certified->dim_order_route(request.src, request.dst)) {
@@ -199,27 +199,29 @@ void RouteService::count(const RouteResponse& response) const {
       case ServeStatus::kError: ++stats_.errors; break;
     }
   }
+  // Resolved once: SloTracker pointers stay valid for its lifetime.
+  static obs::Slo* const vend_slo =
+      obs::SloTracker::global().find(obs::kSloRouteVendLatency);
+  static obs::Slo* const availability_slo =
+      obs::SloTracker::global().find(obs::kSloServeAvailability);
   status_counter(response.status).add();
-  if (served(response.status)) {
-    if (obs::Slo* slo =
-            obs::SloTracker::global().find(obs::kSloRouteVendLatency)) {
-      slo->observe_latency(response.vend_seconds);
-    }
+  if (served(response.status) && vend_slo != nullptr) {
+    vend_slo->observe_latency(response.vend_seconds);
   }
   // Availability counts answers, good or degraded, against shed/reject;
   // kUnroutable is a correct answer about a dead endpoint, not an
   // availability event, so it does not touch the objective.
-  if (response.status != ServeStatus::kUnroutable) {
-    if (obs::Slo* slo =
-            obs::SloTracker::global().find(obs::kSloServeAvailability)) {
-      slo->record(served(response.status));
-    }
+  if (response.status != ServeStatus::kUnroutable &&
+      availability_slo != nullptr) {
+    availability_slo->record(served(response.status));
   }
 }
 
 std::optional<RouteResponse> RouteService::submit(const RouteRequest& request,
                                                   std::int64_t now) {
-  obs::counter("serve.submitted").add();
+  static obs::Counter& submitted = obs::counter("serve.submitted");
+  static obs::Counter& queued = obs::counter("serve.queued");
+  submitted.add();
   if (request.deadline_tick >= 0 && now > request.deadline_tick) {
     RouteResponse response;
     response.status = ServeStatus::kDeadline;
@@ -246,7 +248,7 @@ std::optional<RouteResponse> RouteService::submit(const RouteRequest& request,
       ++stats_.queued;
       const auto depth = static_cast<std::int64_t>(shard.queue.size());
       if (depth > stats_.max_queue_depth) stats_.max_queue_depth = depth;
-      obs::counter("serve.queued").add();
+      queued.add();
       return std::nullopt;
     } else {
       shed.status = ServeStatus::kOverloaded;
@@ -261,7 +263,7 @@ std::optional<RouteResponse> RouteService::submit(const RouteRequest& request,
           std::max<std::int64_t>(options_.admission.retry_after_cap, 1));
     }
   }
-  const RouteResponse response = serve_now ? serve(request, now) : shed;
+  RouteResponse response = serve_now ? serve(request, now) : std::move(shed);
   count(response);
   return response;
 }

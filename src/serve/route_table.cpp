@@ -57,7 +57,7 @@ std::shared_ptr<const RouteTable> RouteTable::capture(
   std::shared_ptr<RouteTable> table(
       new RouteTable(manager, published_tick));
   BuildStats build;
-  if (prev != nullptr && prev->shape_.to_string() == table->shape_.to_string() &&
+  if (prev != nullptr && prev->shape_ == table->shape_ &&
       prev->orders_ == table->orders_) {
     // The carry-forward predicate is only sound when this epoch's faults
     // are a superset of prev's (monotone growth along one timeline); a

@@ -1,6 +1,7 @@
 #include "wormhole/route_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -54,6 +55,172 @@ class StaleTest {
   const std::vector<NodeId>* nodes_;
   std::vector<std::pair<NodeId, NodeId>> link_ends_;
 };
+
+// Hops from u to w along one coordinate (the shorter arc on a torus): one
+// term of MeshShape::l1_distance, inlined for the candidate scan.
+std::int64_t axis_distance(const MeshShape& shape, int j, Coord u, Coord w) {
+  const std::int64_t d = u > w ? u - w : w - u;
+  return shape.wraps() ? std::min<std::int64_t>(d, shape.width(j) - d) : d;
+}
+
+// Length of the two-round route src -> u -> dst.
+std::int64_t total_via(const MeshShape& shape, const Point& src,
+                       const Point& u, const Point& dst) {
+  std::int64_t total = 0;
+  for (int j = 0; j < shape.dim(); ++j) {
+    total += axis_distance(shape, j, src[j], u[j]) +
+             axis_distance(shape, j, u[j], dst[j]);
+  }
+  return total;
+}
+
+// Calls fn(word_index, bits) for every nonzero word of fwd & bwd restricted
+// to the box [lo, hi] of a non-wrapping mesh, in ascending id order. Each
+// dimension-0 row of the box is one id interval, masked at its two end
+// words; fn returns false to stop the walk.
+template <typename Fn>
+void for_each_box_word(const MeshShape& shape, const Bits& fwd,
+                       const Bits& bwd, const Point& lo, const Point& hi,
+                       Fn&& fn) {
+  const std::uint64_t* f = fwd.words().data();
+  const std::uint64_t* b = bwd.words().data();
+  Point row = lo;  // row[0] unused: the row spans lo[0]..hi[0]
+  for (;;) {
+    NodeId base = 0;
+    for (int j = 1; j < shape.dim(); ++j) base += row[j] * shape.stride(j);
+    const NodeId first = base + lo[0];
+    const NodeId last = base + hi[0];
+    const std::size_t first_word = static_cast<std::size_t>(first >> 6);
+    const std::size_t last_word = static_cast<std::size_t>(last >> 6);
+    for (std::size_t w = first_word; w <= last_word; ++w) {
+      std::uint64_t mask = ~std::uint64_t{0};
+      if (w == first_word) mask &= mask << (first & 63);
+      if (w == last_word) mask &= ~std::uint64_t{0} >> (63 - (last & 63));
+      const std::uint64_t bits = f[w] & b[w] & mask;
+      if (bits != 0 && !fn(w, bits)) return;
+    }
+    int j = 1;
+    for (; j < shape.dim() && row[j] == hi[j]; ++j) row[j] = lo[j];
+    if (j == shape.dim()) return;
+    ++row[j];
+  }
+}
+
+// Calls fn(u) for every u in fwd & bwd, ascending, without materializing
+// the intersection.
+template <typename Fn>
+void for_each_common(const Bits& fwd, const Bits& bwd, Fn&& fn) {
+  const std::vector<std::uint64_t>& f = fwd.words();
+  const std::vector<std::uint64_t>& b = bwd.words();
+  for (std::size_t w = 0; w < f.size(); ++w) {
+    for (std::uint64_t bits = f[w] & b[w]; bits != 0; bits &= bits - 1) {
+      fn(static_cast<NodeId>(w * 64) + std::countr_zero(bits));
+    }
+  }
+}
+
+// The intermediate of a two-round route: a node of fwd & bwd minimizing
+// the total length, or -1 when the intersection is empty. Ties go to the
+// least-loaded, then lowest-id node when `load` is set, else uniformly at
+// random with at most one draw from `rng`.
+//
+// On a mesh, l1(src,u) + l1(u,dst) = l1(src,dst) exactly when u lies in
+// the src-dst bounding box, so whenever the box holds a candidate the
+// minimal set is the box's candidates and nothing else is scanned. Only
+// when it holds none (and always on a torus) is the whole intersection
+// scanned for its minimum total.
+NodeId choose_intermediate(const MeshShape& shape, const Bits& fwd,
+                           const Bits& bwd, const Point& src,
+                           const Point& dst, Rng& rng, const NodeLoad* load) {
+  auto load_of = [load](NodeId u) {
+    return load->counts[static_cast<std::size_t>(u)];
+  };
+  if (!shape.wraps()) {
+    Point lo;
+    Point hi;
+    for (int j = 0; j < shape.dim(); ++j) {
+      lo[j] = std::min(src[j], dst[j]);
+      hi[j] = std::max(src[j], dst[j]);
+    }
+    if (load != nullptr) {
+      NodeId chosen = -1;
+      std::int32_t best_load = std::numeric_limits<std::int32_t>::max();
+      for_each_box_word(shape, fwd, bwd, lo, hi,
+                        [&](std::size_t w, std::uint64_t bits) {
+                          for (; bits != 0; bits &= bits - 1) {
+                            const NodeId u = static_cast<NodeId>(w * 64) +
+                                             std::countr_zero(bits);
+                            if (load_of(u) < best_load) {
+                              best_load = load_of(u);
+                              chosen = u;
+                            }
+                          }
+                          return true;
+                        });
+      if (chosen >= 0) return chosen;
+    } else {
+      std::int64_t count = 0;
+      for_each_box_word(shape, fwd, bwd, lo, hi,
+                        [&](std::size_t, std::uint64_t bits) {
+                          count += std::popcount(bits);
+                          return true;
+                        });
+      if (count > 0) {
+        std::int64_t rank =
+            count == 1
+                ? 0
+                : static_cast<std::int64_t>(
+                      rng.below(static_cast<std::uint64_t>(count)));
+        NodeId chosen = -1;
+        for_each_box_word(shape, fwd, bwd, lo, hi,
+                          [&](std::size_t w, std::uint64_t bits) {
+                            const int here = std::popcount(bits);
+                            if (rank >= here) {
+                              rank -= here;
+                              return true;
+                            }
+                            for (; rank > 0; --rank) bits &= bits - 1;
+                            chosen = static_cast<NodeId>(w * 64) +
+                                     std::countr_zero(bits);
+                            return false;
+                          });
+        return chosen;
+      }
+    }
+  }
+
+  // No candidate in the box, or a torus: one pass for the minimum total.
+  std::int64_t best = std::numeric_limits<std::int64_t>::max();
+  std::int32_t best_load = std::numeric_limits<std::int32_t>::max();
+  NodeId chosen = -1;
+  std::int64_t ties = 0;
+  for_each_common(fwd, bwd, [&](NodeId u) {
+    const std::int64_t total = total_via(shape, src, shape.point(u), dst);
+    if (total > best) return;
+    if (load != nullptr) {
+      // Length first, then least-used, then lowest id.
+      if (total < best || load_of(u) < best_load) {
+        best = total;
+        best_load = load_of(u);
+        chosen = u;
+      }
+    } else if (total < best) {
+      best = total;
+      chosen = u;
+      ties = 1;
+    } else {
+      ++ties;
+    }
+  });
+  if (load != nullptr || ties <= 1) return chosen;
+  std::int64_t rank =
+      static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(ties)));
+  for_each_common(fwd, bwd, [&](NodeId u) {
+    if (rank < 0 || total_via(shape, src, shape.point(u), dst) != best) return;
+    if (rank-- == 0) chosen = u;
+  });
+  return chosen;
+}
 
 }  // namespace
 
@@ -190,39 +357,12 @@ std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
     return fallback_.build(src, dst, rng);
   }
 
-  Bits both = forward_of(src);
-  both &= backward_of(dst);
+  const Bits& fwd = forward_of(src);
+  const Bits& bwd = backward_of(dst);
   const Point src_p = shape_->point(src);
   const Point dst_p = shape_->point(dst);
-
-  std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  std::int32_t best_load = std::numeric_limits<std::int32_t>::max();
-  NodeId chosen = -1;
-  std::int64_t ties = 0;
-  both.for_each([&](NodeId u) {
-    const Point u_p = shape_->point(u);
-    const std::int64_t total =
-        shape_->l1_distance(src_p, u_p) + shape_->l1_distance(u_p, dst_p);
-    if (total > best) return;
-    if (load != nullptr) {
-      // Length first, then least-used intermediate.
-      const std::int32_t u_load = load->counts[static_cast<std::size_t>(u)];
-      if (total < best || u_load < best_load) {
-        best = total;
-        best_load = u_load;
-        chosen = u;
-      }
-      return;
-    }
-    if (total < best) {
-      best = total;
-      chosen = u;
-      ties = 1;
-    } else {
-      ++ties;
-      if (rng.below(static_cast<std::uint64_t>(ties)) == 0) chosen = u;
-    }
-  });
+  const NodeId chosen =
+      choose_intermediate(*shape_, fwd, bwd, src_p, dst_p, rng, load);
   if (chosen < 0) return std::nullopt;
 
   Route route;
@@ -230,17 +370,21 @@ std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
   route.dst = dst;
   route.intermediates = {chosen};
   const Point mid = shape_->point(chosen);
-  int round = 0;
-  for (const Point& from : {src_p, mid}) {
+  // Hops go straight into the route, reserved to its known length.
+  route.hops.reserve(
+      static_cast<std::size_t>(total_via(*shape_, src_p, mid, dst_p)));
+  for (int round = 0; round < 2; ++round) {
+    const Point& from = round == 0 ? src_p : mid;
     const Point& to = round == 0 ? mid : dst_p;
-    for (const RouteSegment& seg :
-         dim_ordered_route(*shape_, from, to,
-                           orders_[static_cast<std::size_t>(round)])) {
-      for (Coord s = 0; s < seg.steps; ++s) {
-        route.hops.push_back(Hop{seg.dim, seg.dir, round});
-      }
+    const DimOrder& order = orders_[static_cast<std::size_t>(round)];
+    for (int t = 0; t < order.dim(); ++t) {
+      const int j = order.at(t);
+      Dir dir = Dir::Pos;
+      Coord steps = 0;
+      segment_geometry(*shape_, j, from[j], to[j], &dir, &steps);
+      route.hops.insert(route.hops.end(), static_cast<std::size_t>(steps),
+                        Hop{j, dir, round});
     }
-    ++round;
   }
   if (load != nullptr) {
     // Charge every node the worm will occupy.

@@ -4,12 +4,22 @@
 // backward flood of the destination on every call; under traffic, the
 // same endpoints recur constantly (every survivor sources many messages,
 // hot spots sink many). RouteCache memoizes both floods per node — the
-// state a node's system software would keep between reconfigurations —
-// turning route construction into one bitset intersection. Memory is one
-// N-bit set per distinct endpoint seen, freed on reconfigure().
+// state a node's system software would keep between reconfigurations.
+// Memory is one N-bit set per distinct endpoint seen, freed on
+// reconfigure().
 //
 // The fast path covers k = 2 (the paper's configuration); other round
-// counts delegate to the exact RouteBuilder DP.
+// counts delegate to the exact RouteBuilder DP. Its intermediate is a
+// minimum-length node of fwd(src) & bwd(dst), found without copying
+// either flood. On a mesh, l1(src,u) + l1(u,dst) = l1(src,dst) exactly
+// when u lies in the src-dst bounding box, so the two floods are ANDed
+// only over the box's rows; when the box holds a candidate, its
+// candidates are the minimal set. Otherwise, and always on a torus, one
+// pass over the whole intersection finds the minimum total. Random ties
+// take the r-th minimal candidate with a single rng.below(count), uniform
+// over the same set the earlier per-tie reservoir sampled; route lengths
+// are unchanged, only which tied node is picked differs. The load-aware
+// rule (NodeLoad) is unchanged and draws nothing.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +57,9 @@ class RouteCache {
              MultiRoundOrder orders);
 
   // Same contract as RouteBuilder::build. When `load` is non-null, ties
-  // among minimum-length intermediates are broken toward the least-used
-  // intermediate node (instead of uniformly at random), and the counters
-  // of every node on the chosen route are incremented.
+  // among minimum-length intermediates are broken toward the least-used,
+  // then lowest-id intermediate node (instead of uniformly at random),
+  // and the counters of every node on the chosen route are incremented.
   std::optional<Route> build(NodeId src, NodeId dst, Rng& rng,
                              NodeLoad* load = nullptr);
 

@@ -119,7 +119,7 @@ TEST(RouteCache, MatchesRouteBuilderLengths) {
       // Both pick minimum-length intermediates, so lengths agree even if
       // tie-breaks differ.
       EXPECT_EQ(direct->length(), cached->length());
-      EXPECT_EQ(cached->hops.empty() ? a : a, cached->src);
+      EXPECT_EQ(cached->src, a);
       EXPECT_EQ(cached->dst, b);
     }
   }

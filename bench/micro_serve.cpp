@@ -8,12 +8,16 @@
 // reported rows. A third row prices the vend layer alone: route_p50_ns is
 // the median RouteTable::route call over a fixed replay of survivor pairs
 // against a warm table of the scenario's first epoch, gated with a max.
+// A fourth prices the cold vend: cold_route_us is the median of a fresh
+// RouteCache (flood-mask build included) plus one build() over fixed
+// endpoint pairs of M3(32) at 3% node faults, also gated with a max.
 // With --json PATH the results are written as a JSON
 // document (BENCH_micro_serve.json in CI).
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/cli_args.hpp"
@@ -26,6 +30,7 @@
 #include "support/parallel.hpp"
 #include "support/samples.hpp"
 #include "support/stats.hpp"
+#include "wormhole/route_cache.hpp"
 
 using namespace lamb;
 
@@ -41,6 +46,11 @@ struct Row {
 // over the whole flood intersection measured 3.2-3.7 us on this row, the
 // bounding-box chooser 0.4-0.6 us.
 constexpr double kRouteP50MaxNs = 1600.0;
+
+// Upper bound on cold_route_us. On a 4-core x86 VM the per-line floods
+// measured 650-880 us on this row, the word-parallel flood kernel
+// 33-51 us.
+constexpr double kColdRouteMaxUs = 250.0;
 
 // Median wall time of one RouteTable::route call, in ns. The table is the
 // loadgen scenario's first epoch (same mesh, seed and initial faults);
@@ -84,9 +94,55 @@ double route_p50_ns(const serve::LoadgenConfig& config) {
   return ns.median();
 }
 
+// Median wall time of one cold vend, in us: a fresh RouteCache (which
+// builds the flood masks) plus one build(), so both endpoint floods run.
+// The instance is M3(32) with 983 seeded node faults and 13 link faults
+// (every third one directed) under ascending 2-round orders; the pairs
+// are 256 fixed pairs of distinct good nodes.
+double cold_route_us() {
+  const MeshShape shape = MeshShape::cube(3, 32);
+  Rng rng(2026);
+  FaultSet faults = FaultSet::random_nodes(shape, 983, rng);
+  const auto random_node = [&] {
+    return static_cast<NodeId>(
+        rng.below(static_cast<std::uint64_t>(shape.size())));
+  };
+  for (int added = 0; added < 13;) {
+    const Point from = shape.point(random_node());
+    const int dim = static_cast<int>(rng.below(3));
+    const Dir dir = rng.bernoulli(0.5) ? Dir::Pos : Dir::Neg;
+    Point to;
+    if (!shape.neighbor(from, dim, dir, &to)) continue;
+    if (added % 3 == 2) {
+      faults.add_directed_link(from, dim, dir);
+    } else {
+      faults.add_link(from, dim, dir);
+    }
+    ++added;
+  }
+  const MultiRoundOrder orders = ascending_rounds(3, 2);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  while (pairs.size() < 256) {
+    const NodeId src = random_node();
+    const NodeId dst = random_node();
+    if (src != dst && faults.node_good(src) && faults.node_good(dst)) {
+      pairs.emplace_back(src, dst);
+    }
+  }
+  Samples us;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    Rng tie(i);
+    Stopwatch watch;
+    wormhole::RouteCache cache(shape, faults, orders);
+    const auto route = cache.build(pairs[i].first, pairs[i].second, tie);
+    us.add(watch.seconds() * 1e6);
+  }
+  return us.median();
+}
+
 void write_json(const std::string& path, const serve::LoadgenConfig& config,
                 const std::vector<Row>& rows, bool digest_stable,
-                double route_p50) {
+                double route_p50, double cold_route) {
   const serve::LoadgenResult& base = rows.front().result;
   std::ofstream out(path);
   out << "{\n  \"bench\": \"micro_serve\",\n"
@@ -105,11 +161,14 @@ void write_json(const std::string& path, const serve::LoadgenConfig& config,
       << ",\n"
       << "  \"vend_p99_us\": " << base.vend_latency.p99 * 1e6 << ",\n"
       << "  \"route_p50_ns\": " << route_p50 << ",\n"
+      << "  \"cold_route_us\": " << cold_route << ",\n"
       << "  \"gates\": [\n"
       << "    {\"metric\": \"digest_stable\", \"equals\": 1},\n"
       << "    {\"metric\": \"failed_requests\", \"equals\": 0},\n"
       << "    {\"metric\": \"final_queue_depth\", \"equals\": 0},\n"
       << "    {\"metric\": \"route_p50_ns\", \"max\": " << kRouteP50MaxNs
+      << "},\n"
+      << "    {\"metric\": \"cold_route_us\", \"max\": " << kColdRouteMaxUs
       << "}\n"
       << "  ],\n"
       << "  \"results\": [\n";
@@ -188,9 +247,12 @@ int main(int argc, char** argv) {
   const double route_p50 = route_p50_ns(config);
   std::printf("  warm RouteTable::route p50 %.0f ns (gate <= %.0f)\n",
               route_p50, kRouteP50MaxNs);
+  const double cold_route = cold_route_us();
+  std::printf("  cold vend (fresh RouteCache + build) p50 %.1f us (gate <= %.0f)\n",
+              cold_route, kColdRouteMaxUs);
 
   if (!json_path.empty()) {
-    write_json(json_path, config, rows, digest_stable, route_p50);
+    write_json(json_path, config, rows, digest_stable, route_p50, cold_route);
   }
   if (!digest_stable) return 1;
   if (base.failed_requests > 0 || base.final_queue_depth > 0) return 1;

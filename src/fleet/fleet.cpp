@@ -100,14 +100,17 @@ void FleetManager::record_outcome(int shard,
   if (shard >= 0) {
     shards_[static_cast<std::size_t>(shard)].burn.record(good);
   }
-  if (obs::Slo* slo =
-          obs::SloTracker::global().find(obs::kSloFleetAvailability)) {
-    slo->record(good);
-  }
+  // Resolved once: SloTracker pointers stay valid for its lifetime.
+  static obs::Slo* const availability_slo =
+      obs::SloTracker::global().find(obs::kSloFleetAvailability);
+  if (availability_slo != nullptr) availability_slo->record(good);
 }
 
 std::optional<serve::RouteResponse> FleetManager::submit(
     const serve::RouteRequest& request, std::int64_t now) {
+  // Cached handles: the registry find-or-create takes a lock per name.
+  static obs::Counter& c_no_healthy = obs::counter("fleet.no_healthy_shard");
+  static obs::Counter& c_failovers = obs::counter("fleet.failovers");
   ++stats_.routed;
   const int n = shard_count();
   const int primary =
@@ -128,13 +131,13 @@ std::optional<serve::RouteResponse> FleetManager::submit(
     shed.status = serve::ServeStatus::kOverloaded;
     shed.retry_after_ticks =
         std::max<std::int64_t>(options_.service.admission.retry_after_cap, 1);
-    obs::counter("fleet.no_healthy_shard").add();
+    c_no_healthy.add();
     record_outcome(-1, shed);
     return shed;
   }
   if (request.shard < 0 && target != primary) {
     ++stats_.failovers;
-    obs::counter("fleet.failovers").add();
+    c_failovers.add();
   }
   serve::RouteRequest inner = request;
   inner.shard = -1;  // admission re-hashes client_id inside the shard

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace lamb {
@@ -76,6 +77,9 @@ class Bits {
   }
 
   const std::vector<std::uint64_t>& words() const { return words_; }
+  // Word-level writes for kernels that fill or scan whole words. Bits at
+  // or beyond size() in the last word must stay zero.
+  std::span<std::uint64_t> mutable_words() { return words_; }
 
  private:
   std::int64_t size_ = 0;

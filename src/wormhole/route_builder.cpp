@@ -38,7 +38,6 @@ void RouteBuilder::append_round(NodeId from, NodeId to, int round,
 
 std::optional<Route> RouteBuilder::build(NodeId src, NodeId dst,
                                          Rng& rng) const {
-  const FloodOracle flood(*shape_, *faults_);
   const int k = rounds();
   const Point src_p = shape_->point(src);
   const Point dst_p = shape_->point(dst);
@@ -48,10 +47,16 @@ std::optional<Route> RouteBuilder::build(NodeId src, NodeId dst,
   route.dst = dst;
 
   if (k == 1) {
-    if (!flood.reach1_from(src_p, orders_.front()).test(dst)) return std::nullopt;
+    // The one-round route is fixed: walk its nodes and directed links
+    // instead of flooding the mesh for one pair.
+    if (!route_clear(*shape_, *faults_, src_p, dst_p, orders_.front())) {
+      return std::nullopt;
+    }
     append_round(src, dst, 0, &route);
     return route;
   }
+
+  const FloodOracle flood(*shape_, *faults_);
 
   // cost[r][u] = fewest hops to be at u after r rounds; predecessors kept
   // for path reconstruction. For k == 2 this degenerates to intersecting

@@ -42,8 +42,9 @@ class RouteBuilder {
                MultiRoundOrder orders);
 
   // Fault-free k-round route from src to dst, or nullopt when dst is not
-  // (k, F, orders)-reachable from src. O(N) for k <= 2; exact shortest-
-  // intermediate DP for larger k.
+  // (k, F, orders)-reachable from src. k = 1 walks the one route, O(d*n);
+  // k = 2 intersects two floods, O(N); larger k runs the exact
+  // shortest-intermediate DP.
   std::optional<Route> build(NodeId src, NodeId dst, Rng& rng) const;
 
   int rounds() const { return static_cast<int>(orders_.size()); }

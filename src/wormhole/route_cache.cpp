@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "reach/flood_oracle.hpp"
 #include "reach/route.hpp"
 
 namespace lamb::wormhole {
@@ -271,6 +270,7 @@ RouteCache::RouteCache(const MeshShape& shape, const FaultSet& faults,
 
 void RouteCache::reconfigure() {
   obs::counter("wormhole.route_cache.reconfigures").add();
+  flood_.reset();
   forward_.clear();
   backward_.clear();
 }
@@ -279,6 +279,7 @@ RouteCache::InvalidateStats RouteCache::invalidate(
     const std::vector<NodeId>& delta_nodes,
     const std::vector<LinkFault>& delta_links) {
   obs::counter("wormhole.route_cache.invalidates").add();
+  flood_.reset();
   const StaleTest stale(*shape_, delta_nodes, delta_links);
   InvalidateStats stats;
   for (auto* cache : {&forward_, &backward_}) {
@@ -301,6 +302,7 @@ RouteCache::InvalidateStats RouteCache::adopt(
     const RouteCache& prev, const std::vector<NodeId>& delta_nodes,
     const std::vector<LinkFault>& delta_links) {
   obs::counter("wormhole.route_cache.adopts").add();
+  flood_.reset();
   const StaleTest stale(*shape_, delta_nodes, delta_links);
   InvalidateStats stats;
   const std::pair<const std::unordered_map<NodeId, Bits>*,
@@ -320,6 +322,11 @@ RouteCache::InvalidateStats RouteCache::adopt(
   return stats;
 }
 
+const FloodOracle& RouteCache::flood() {
+  if (!flood_) flood_.emplace(*shape_, *faults_);
+  return *flood_;
+}
+
 const Bits& RouteCache::forward_of(NodeId src) {
   auto it = forward_.find(src);
   if (it != forward_.end()) {
@@ -329,9 +336,8 @@ const Bits& RouteCache::forward_of(NodeId src) {
   }
   ++misses_;
   miss_counter().add();
-  const FloodOracle flood(*shape_, *faults_);
-  return forward_.emplace(src, flood.reach1_from(shape_->point(src),
-                                                 orders_.front()))
+  return forward_.emplace(src, flood().reach1_from(shape_->point(src),
+                                                  orders_.front()))
       .first->second;
 }
 
@@ -344,9 +350,8 @@ const Bits& RouteCache::backward_of(NodeId dst) {
   }
   ++misses_;
   miss_counter().add();
-  const FloodOracle flood(*shape_, *faults_);
-  return backward_.emplace(dst, flood.reach1_to(shape_->point(dst),
-                                                orders_.back()))
+  return backward_.emplace(dst, flood().reach1_to(shape_->point(dst),
+                                                 orders_.back()))
       .first->second;
 }
 

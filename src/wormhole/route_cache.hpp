@@ -8,6 +8,15 @@
 // Memory is one N-bit set per distinct endpoint seen, freed on
 // reconfigure().
 //
+// Cold floods run on one FloodOracle built once per fault-set state: the
+// first cold flood after construction, reconfigure(), invalidate() or
+// adopt() — the calls that follow a change of the referenced FaultSet —
+// builds its masks, O(N*d/64 + f), and every later cold vend pays only
+// the two word-parallel floods. Building on first use keeps the mask
+// build off epoch swaps that vend nothing. The FaultSet must not change
+// between those calls (MachineManager refuses to vend while reports are
+// pending).
+//
 // The fast path covers k = 2 (the paper's configuration); other round
 // counts delegate to the exact RouteBuilder DP. Its intermediate is a
 // minimum-length node of fwd(src) & bwd(dst), found without copying
@@ -27,6 +36,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "reach/flood_oracle.hpp"
 #include "support/bitset.hpp"
 #include "wormhole/route_builder.hpp"
 
@@ -63,8 +73,9 @@ class RouteCache {
   std::optional<Route> build(NodeId src, NodeId dst, Rng& rng,
                              NodeLoad* load = nullptr);
 
-  // Drops all cached floods (call after the fault set / lamb set
-  // changes — the referenced FaultSet must reflect the new state).
+  // Drops all cached floods and the flood masks (call after the fault
+  // set / lamb set changes — the referenced FaultSet must reflect the new
+  // state).
   void reconfigure();
 
   // Outcome of a selective invalidation: how many cached floods survived
@@ -84,6 +95,7 @@ class RouteCache {
   // logical LinkFault records (both endpoints are checked regardless of
   // direction). Orders and shape must be unchanged since the floods were
   // built — callers that changed them must use reconfigure() instead.
+  // Drops the flood masks; the next cold flood rebuilds them.
   InvalidateStats invalidate(const std::vector<NodeId>& delta_nodes,
                              const std::vector<LinkFault>& delta_links);
 
@@ -94,7 +106,9 @@ class RouteCache {
   // preconditions: this cache's FaultSet must already reflect the new
   // cumulative state, and shape/orders must match `prev`'s. Floods this
   // cache already holds for an adopted endpoint are kept (not
-  // overwritten); they were built against the newer fault set.
+  // overwritten); they were built against the newer fault set. Drops
+  // this cache's flood masks, since the FaultSet may have changed after
+  // construction.
   InvalidateStats adopt(const RouteCache& prev,
                         const std::vector<NodeId>& delta_nodes,
                         const std::vector<LinkFault>& delta_links);
@@ -107,6 +121,7 @@ class RouteCache {
   std::int64_t misses() const { return misses_; }
 
  private:
+  const FloodOracle& flood();
   const Bits& forward_of(NodeId src);
   const Bits& backward_of(NodeId dst);
 
@@ -114,6 +129,9 @@ class RouteCache {
   const FaultSet* faults_;
   MultiRoundOrder orders_;
   RouteBuilder fallback_;
+  // Masks of the current fault-set state; empty until the first cold
+  // flood after construction, reconfigure(), invalidate() or adopt().
+  std::optional<FloodOracle> flood_;
   std::unordered_map<NodeId, Bits> forward_;
   std::unordered_map<NodeId, Bits> backward_;
   std::int64_t hits_ = 0;

@@ -174,8 +174,10 @@ TEST(Determinism, ReachabilityMatricesIdenticalAcrossThreadCounts) {
 
 TEST(Determinism, FloodFanOutIdenticalAcrossThreadCounts) {
   PoolWidthGuard guard;
-  // 24x24 = 576 nodes: the round-2 frontier is dense enough to cross the
-  // parallel fan-out threshold.
+  // The name predates the removal of the frontier fan-out. Floods now run
+  // serially (meshes the word kernel, tori the per-line expansion), and
+  // this pins that the pool width still cannot show through: a two-round
+  // flood on a 24x24 mesh is identical at every width.
   const MeshShape shape = MeshShape::cube(2, 24);
   const FaultSet faults = fixed_faults(shape, 17, 31337);
   const FloodOracle oracle(shape, faults);

@@ -2,10 +2,15 @@
 // oracles. The prefix-sum ReachOracle and the FloodOracle are checked
 // against the walk-the-route reference (route_clear) over randomized
 // parameterized sweeps covering node faults, bidirectional and directed
-// link faults, meshes and tori.
+// link faults, meshes and tori. The mesh sweeps include shapes chosen for
+// the FloodOracle word kernel: strides below, at and above 64, aligned
+// and unaligned to words, and a line.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "mesh/fault_set.hpp"
 #include "reach/dim_order.hpp"
@@ -165,6 +170,20 @@ TEST_P(OracleSweep, PrefixSumOracleMatchesRouteWalk) {
   }
 }
 
+// Ascending, descending and, from d = 3, one non-monotone order (the
+// first two dimensions swapped).
+std::vector<DimOrder> sweep_orders(int d) {
+  std::vector<DimOrder> orders{DimOrder::ascending(d)};
+  if (d >= 2) orders.push_back(DimOrder::descending(d));
+  if (d >= 3) {
+    std::vector<int> perm(static_cast<std::size_t>(d));
+    std::iota(perm.begin(), perm.end(), 0);
+    std::swap(perm[0], perm[1]);
+    orders.emplace_back(std::move(perm));
+  }
+  return orders;
+}
+
 TEST_P(OracleSweep, FloodOracleMatchesRouteWalk) {
   const OracleSweepParam p = GetParam();
   const MeshShape shape =
@@ -172,17 +191,65 @@ TEST_P(OracleSweep, FloodOracleMatchesRouteWalk) {
   Rng rng(p.seed ^ 0xabcdef);
   const FaultSet faults = random_faults(shape, p, rng);
   const FloodOracle flood(shape, faults);
-  const DimOrder order = DimOrder::ascending(shape.dim());
-  for (int trial = 0; trial < 12; ++trial) {
-    const Point v = shape.point(static_cast<NodeId>(
-        rng.below(static_cast<std::uint64_t>(shape.size()))));
-    const Bits from = flood.reach1_from(v, order);
-    const Bits to = flood.reach1_to(v, order);
-    for (NodeId w = 0; w < shape.size(); ++w) {
-      const Point wp = shape.point(w);
-      EXPECT_EQ(from.test(w), route_clear(shape, faults, v, wp, order));
-      EXPECT_EQ(to.test(w), route_clear(shape, faults, wp, v, order));
+  const auto random_node = [&] {
+    return static_cast<NodeId>(
+        rng.below(static_cast<std::uint64_t>(shape.size())));
+  };
+  for (const DimOrder& order : sweep_orders(shape.dim())) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const Point v = shape.point(random_node());
+      const Bits from = flood.reach1_from(v, order);
+      const Bits to = flood.reach1_to(v, order);
+      for (NodeId w = 0; w < shape.size(); ++w) {
+        const Point wp = shape.point(w);
+        EXPECT_EQ(from.test(w), route_clear(shape, faults, v, wp, order))
+            << shape.to_string() << " " << order.to_string()
+            << " v=" << shape.index(v) << " w=" << w;
+        EXPECT_EQ(to.test(w), route_clear(shape, faults, wp, v, order))
+            << shape.to_string() << " " << order.to_string()
+            << " v=" << shape.index(v) << " w=" << w;
+      }
     }
+  }
+}
+
+// A set-valued flood is the union of the single-source floods of its good
+// members: checked against the route walk on a sparse source set, and
+// against the (walk-checked) single-source floods on a dense one.
+TEST_P(OracleSweep, FloodFromSetMatchesUnion) {
+  const OracleSweepParam p = GetParam();
+  const MeshShape shape =
+      p.torus ? MeshShape::torus(p.widths) : MeshShape::mesh(p.widths);
+  Rng rng(p.seed ^ 0x5e7);
+  const FaultSet faults = random_faults(shape, p, rng);
+  const FloodOracle flood(shape, faults);
+  const auto random_node = [&] {
+    return static_cast<NodeId>(
+        rng.below(static_cast<std::uint64_t>(shape.size())));
+  };
+  for (const DimOrder& order : sweep_orders(shape.dim())) {
+    Bits sparse(shape.size());
+    for (int i = 0; i < 3; ++i) sparse.set(random_node());
+    const Bits got = flood.reach1_from_set(sparse, order);
+    for (NodeId w = 0; w < shape.size(); ++w) {
+      bool want = false;
+      sparse.for_each([&](NodeId v) {
+        want = want || route_clear(shape, faults, shape.point(v),
+                                   shape.point(w), order);
+      });
+      EXPECT_EQ(got.test(w), want)
+          << shape.to_string() << " " << order.to_string() << " w=" << w;
+    }
+
+    Bits dense(shape.size());
+    Bits want(shape.size());
+    for (NodeId v = 0; v < shape.size(); ++v) {
+      if (rng.below(8) != 0) continue;
+      dense.set(v);
+      want |= flood.reach1_from(shape.point(v), order);
+    }
+    EXPECT_EQ(flood.reach1_from_set(dense, order), want)
+        << shape.to_string() << " " << order.to_string();
   }
 }
 
@@ -224,7 +291,15 @@ INSTANTIATE_TEST_SUITE_P(
         OracleSweepParam{{8, 8}, false, 20, 0, 0, 15},
         OracleSweepParam{{6, 6, 6}, true, 10, 4, 4, 16},
         OracleSweepParam{{4, 9, 5}, true, 8, 3, 3, 17},
-        OracleSweepParam{{2, 2, 2, 2, 2, 2, 2}, false, 6, 3, 3, 18}));
+        OracleSweepParam{{2, 2, 2, 2, 2, 2, 2}, false, 6, 3, 3, 18},
+        // Word-kernel shapes: rows spanning words with an unaligned
+        // stride >= 64, an aligned stride, stride 65, plane stride 1024
+        // and a single line.
+        OracleSweepParam{{70, 9}, false, 25, 6, 6, 19},
+        OracleSweepParam{{64, 4}, false, 10, 4, 4, 20},
+        OracleSweepParam{{5, 13, 4}, false, 10, 4, 4, 21},
+        OracleSweepParam{{32, 32, 4}, false, 120, 12, 12, 22},
+        OracleSweepParam{{150}, false, 3, 2, 2, 23}));
 
 TEST(FloodOracle, NoFaultsReachesEverything) {
   const MeshShape m = MeshShape::mesh({5, 5});

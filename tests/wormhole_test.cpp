@@ -133,6 +133,46 @@ TEST(RouteBuilder, ThreeRoundRoutesWork) {
   EXPECT_GT(built, 0);
 }
 
+// The one-round rung walks the e-cube route instead of flooding: its
+// verdict must equal the flood's for every ordered pair, on meshes and
+// tori with node faults and directed link faults, and a vended route
+// must be the e-cube hops themselves.
+TEST(RouteBuilder, OneRoundWalkMatchesFloodForEveryPair) {
+  for (const MeshShape& shape :
+       {MeshShape::mesh({6, 5}), MeshShape::mesh({4, 3, 3}),
+        MeshShape::torus({6, 5}), MeshShape::torus({4, 3, 3})}) {
+    Rng frng(static_cast<std::uint64_t>(shape.size()));
+    FaultSet faults = FaultSet::random_nodes(shape, shape.size() / 12, frng);
+    for (int added = 0; added < 6;) {
+      const Point from = shape.point(static_cast<NodeId>(
+          frng.below(static_cast<std::uint64_t>(shape.size()))));
+      const int dim = static_cast<int>(
+          frng.below(static_cast<std::uint64_t>(shape.dim())));
+      const Dir dir = frng.bernoulli(0.5) ? Dir::Pos : Dir::Neg;
+      Point to;
+      if (!shape.neighbor(from, dim, dir, &to)) continue;
+      faults.add_directed_link(from, dim, dir);
+      ++added;
+    }
+    const DimOrder order = DimOrder::ascending(shape.dim());
+    const RouteBuilder builder(shape, faults, {order});
+    const FloodOracle flood(shape, faults);
+    Rng rng(1);
+    for (NodeId src = 0; src < shape.size(); ++src) {
+      const Bits reach = flood.reach1_from(shape.point(src), order);
+      for (NodeId dst = 0; dst < shape.size(); ++dst) {
+        const auto route = builder.build(src, dst, rng);
+        ASSERT_EQ(route.has_value(), reach.test(dst))
+            << shape.to_string() << " " << src << "->" << dst;
+        if (!route) continue;
+        EXPECT_EQ(route->length(), shape.l1_distance(shape.point(src),
+                                                     shape.point(dst)));
+        EXPECT_EQ(walk(shape, *route).back(), dst);
+      }
+    }
+  }
+}
+
 // --- Flit-level network ----------------------------------------------------
 
 Message make_message(const MeshShape& shape [[maybe_unused]], const RouteBuilder& builder,

@@ -28,19 +28,18 @@ struct Row {
   int threads = 0;
   const char* mode = "reopen";
   double seconds = 0.0;  // whole-scenario wall time
-  fleet::FleetLoadgenResult result;
+  fleet::LoadgenResult result;
 };
 
-void write_json(const std::string& path,
-                const fleet::FleetLoadgenConfig& config,
+void write_json(const std::string& path, const fleet::LoadgenConfig& config,
                 const std::vector<Row>& rows, bool digest_stable) {
-  const fleet::FleetLoadgenResult& base = rows.front().result;
+  const fleet::LoadgenResult& base = rows.front().result;
   std::ofstream out(path);
   out << "{\n  \"bench\": \"micro_fleet\",\n"
       << support::machine_info_json() << "  \"workload\": \""
-      << config.fleet.shards << " x " << config.fleet.mesh << " shards, "
+      << config.chaos->shards << " x " << config.mesh << " shards, "
       << config.clients << " clients, " << config.ticks << " ticks, "
-      << config.shard_kills << " kills + " << config.shard_hangs
+      << config.chaos->shard_kills << " kills + " << config.chaos->shard_hangs
       << " hangs\",\n"
       << "  \"digest_stable\": " << (digest_stable ? 1 : 0) << ",\n"
       << "  \"failed_requests\": " << base.failed_requests << ",\n"
@@ -80,14 +79,14 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
   }
 
-  fleet::FleetLoadgenConfig config;
-  config.fleet.state_root = "micro-fleet-state";
+  fleet::LoadgenConfig config = fleet::fleet_loadgen_defaults();
+  config.chaos->state_root = "micro-fleet-state";
   config.clients = 64;
   config.ticks = 240;
   config.client.hedge = true;
 
   std::printf("micro_fleet: %d x %s shards, %lld clients, %lld ticks\n\n",
-              config.fleet.shards, config.fleet.mesh.c_str(),
+              config.chaos->shards, config.mesh.c_str(),
               static_cast<long long>(config.clients),
               static_cast<long long>(config.ticks));
 
@@ -103,12 +102,12 @@ int main(int argc, char** argv) {
   };
   for (const auto& arm : arms) {
     par::set_threads(arm.threads);
-    config.fleet.recovery = arm.mode;
+    config.chaos->recovery = arm.mode;
     Row row;
     row.threads = arm.threads;
     row.mode = arm.name;
     Stopwatch watch;
-    row.result = fleet::run_fleet_loadgen(config);
+    row.result = fleet::run_loadgen(config);
     row.seconds = watch.seconds();
     std::printf(
         "  threads=%d %-6s  %7.3f s  %6lld outcomes  %2lld kills  "
@@ -120,7 +119,7 @@ int main(int argc, char** argv) {
   }
   par::set_threads(0);
 
-  const fleet::FleetLoadgenResult& base = rows.front().result;
+  const fleet::LoadgenResult& base = rows.front().result;
   bool digest_stable = true;
   for (const Row& row : rows) {
     if (row.result.digest != base.digest) digest_stable = false;

@@ -20,11 +20,11 @@
 #include <utility>
 #include <vector>
 
+#include "fleet/loadgen.hpp"
 #include "io/cli_args.hpp"
 #include "io/text_format.hpp"
 #include "manager/machine_manager.hpp"
 #include "obs/obs.hpp"
-#include "serve/loadgen.hpp"
 #include "serve/route_table.hpp"
 #include "support/machine_info.hpp"
 #include "support/parallel.hpp"
@@ -39,7 +39,7 @@ namespace {
 struct Row {
   int threads = 0;
   double seconds = 0.0;  // whole-scenario wall time
-  serve::LoadgenResult result;
+  fleet::LoadgenResult result;
 };
 
 // Upper bound on route_p50_ns. On a 4-core x86 VM the reservoir scan
@@ -56,7 +56,7 @@ constexpr double kColdRouteMaxUs = 250.0;
 // loadgen scenario's first epoch (same mesh, seed and initial faults);
 // the replay is a fixed list of survivor pairs, routed once to warm every
 // endpoint's floods and then timed call by call over several passes.
-double route_p50_ns(const serve::LoadgenConfig& config) {
+double route_p50_ns(const fleet::LoadgenConfig& config) {
   const MeshShape shape = io::parse_geometry(config.mesh);
   Rng rng(config.seed);
   manager::MachineManager manager(shape);
@@ -140,10 +140,10 @@ double cold_route_us() {
   return us.median();
 }
 
-void write_json(const std::string& path, const serve::LoadgenConfig& config,
+void write_json(const std::string& path, const fleet::LoadgenConfig& config,
                 const std::vector<Row>& rows, bool digest_stable,
                 double route_p50, double cold_route) {
-  const serve::LoadgenResult& base = rows.front().result;
+  const fleet::LoadgenResult& base = rows.front().result;
   std::ofstream out(path);
   out << "{\n  \"bench\": \"micro_serve\",\n"
       << support::machine_info_json() << "  \"workload\": \"" << config.mesh
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
   }
 
-  serve::LoadgenConfig config;
+  fleet::LoadgenConfig config;
   config.clients = 256;
   config.ticks = 160;
   // Tight admission so the shed/backoff/hedge paths are exercised, not
@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
     Row row;
     row.threads = threads;
     Stopwatch watch;
-    row.result = serve::run_loadgen(config);
+    row.result = fleet::run_loadgen(config);
     row.seconds = watch.seconds();
     std::printf(
         "  threads=%d  %7.3f s  %6lld outcomes  %2lld reconfigures  "
@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
   }
   par::set_threads(0);
 
-  const serve::LoadgenResult& base = rows.front().result;
+  const fleet::LoadgenResult& base = rows.front().result;
   bool digest_stable = true;
   for (const Row& row : rows) {
     if (row.result.digest != base.digest) digest_stable = false;

@@ -280,27 +280,26 @@ TEST(FleetManager, SolvePublishSlotsNeverOverlap) {
 // MachineManager::open mid-storm, so digest equality with the live arm
 // IS the restart-transparency proof. Zero covered requests fail.
 TEST(FleetLoadgen, DigestStableAcrossThreadsAndRecoveryModes) {
-  fleet::FleetLoadgenConfig config;
-  config.fleet.state_root = state_root("loadgen");
-  config.fleet.shards = 3;
-  config.fleet.mesh = "8x8";
+  fleet::LoadgenConfig config = fleet::fleet_loadgen_defaults();
+  config.chaos->state_root = state_root("loadgen");
+  config.chaos->shards = 3;
+  config.mesh = "8x8";
   config.clients = 32;
   config.ticks = 120;
   config.storm_node_kills = 2;
   config.storm_link_kills = 1;
-  config.shard_kills = 1;
-  config.shard_hangs = 1;
-  config.min_downtime = 8;
-  config.max_downtime = 16;
+  config.chaos->shard_kills = 1;
+  config.chaos->shard_hangs = 1;
+  config.chaos->min_downtime = 8;
+  config.chaos->max_downtime = 16;
   config.client.hedge = true;
-  std::optional<fleet::FleetLoadgenResult> base;
+  std::optional<fleet::LoadgenResult> base;
   for (const RecoveryMode mode : {RecoveryMode::kReopen, RecoveryMode::kLive}) {
-    config.fleet.recovery = mode;
+    config.chaos->recovery = mode;
     const bool reopen = mode == RecoveryMode::kReopen;
     for (const int threads : {1, 4, 16}) {
       par::set_threads(threads);
-      const fleet::FleetLoadgenResult result =
-          fleet::run_fleet_loadgen(config);
+      const fleet::LoadgenResult result = fleet::run_loadgen(config);
       const std::string arm =
           std::string(reopen ? "reopen" : "live") + "/threads=" +
           std::to_string(threads);

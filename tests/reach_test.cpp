@@ -195,9 +195,11 @@ TEST_P(OracleSweep, FloodOracleMatchesRouteWalk) {
     return static_cast<NodeId>(
         rng.below(static_cast<std::uint64_t>(shape.size())));
   };
+  // Every source on small shapes, eight random ones on the rest.
+  const bool every = shape.size() <= 260;
   for (const DimOrder& order : sweep_orders(shape.dim())) {
-    for (int trial = 0; trial < 8; ++trial) {
-      const Point v = shape.point(random_node());
+    for (NodeId trial = 0; trial < (every ? shape.size() : 8); ++trial) {
+      const Point v = shape.point(every ? trial : random_node());
       const Bits from = flood.reach1_from(v, order);
       const Bits to = flood.reach1_to(v, order);
       for (NodeId w = 0; w < shape.size(); ++w) {
@@ -299,7 +301,13 @@ INSTANTIATE_TEST_SUITE_P(
         OracleSweepParam{{64, 4}, false, 10, 4, 4, 20},
         OracleSweepParam{{5, 13, 4}, false, 10, 4, 4, 21},
         OracleSweepParam{{32, 32, 4}, false, 120, 12, 12, 22},
-        OracleSweepParam{{150}, false, 3, 2, 2, 23}));
+        OracleSweepParam{{150}, false, 3, 2, 2, 23},
+        // s_j * (n_j - 1) == 1 (mod 64): a line's far end sits at bit 0 of
+        // a word and its near end at bit 63 of an earlier word.
+        OracleSweepParam{{66}, false, 2, 2, 2, 24},
+        OracleSweepParam{{43, 4}, false, 5, 2, 2, 25},
+        OracleSweepParam{{65, 2}, false, 3, 2, 2, 26},
+        OracleSweepParam{{129, 2}, false, 6, 2, 2, 27}));
 
 TEST(FloodOracle, NoFaultsReachesEverything) {
   const MeshShape m = MeshShape::mesh({5, 5});

@@ -13,10 +13,10 @@
 #include <utility>
 #include <vector>
 
+#include "fleet/loadgen.hpp"
 #include "manager/machine_manager.hpp"
 #include "serve/admission.hpp"
 #include "serve/client.hpp"
-#include "serve/loadgen.hpp"
 #include "serve/route_service.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -344,17 +344,17 @@ TEST(ServeClient, ServedRequestResolvesImmediatelyAndReissues) {
 // The loadgen's headline guarantees, and the determinism anchor the CI
 // serve-soak lane diffs: same config => same digest at any thread count.
 TEST(Loadgen, DigestStableAcrossThreadCountsAndNoFailedRequests) {
-  serve::LoadgenConfig config;
+  fleet::LoadgenConfig config;
   config.mesh = "8x8";
   config.clients = 48;
   config.ticks = 64;
   config.initial_node_faults = 2;
   config.storm_node_kills = 3;
   config.storm_link_kills = 1;
-  std::optional<serve::LoadgenResult> base;
+  std::optional<fleet::LoadgenResult> base;
   for (const int threads : {1, 4, 16}) {
     par::set_threads(threads);
-    const serve::LoadgenResult result = serve::run_loadgen(config);
+    const fleet::LoadgenResult result = fleet::run_loadgen(config);
     EXPECT_EQ(result.failed_requests, 0) << "threads=" << threads;
     EXPECT_EQ(result.final_queue_depth, 0) << "threads=" << threads;
     EXPECT_GT(result.outcomes, 0);
@@ -364,7 +364,7 @@ TEST(Loadgen, DigestStableAcrossThreadCountsAndNoFailedRequests) {
     } else {
       EXPECT_EQ(result.digest, base->digest) << "threads=" << threads;
       EXPECT_EQ(result.outcomes, base->outcomes);
-      EXPECT_EQ(result.final_epoch, base->final_epoch);
+      EXPECT_EQ(result.final_epochs, base->final_epochs);
     }
   }
   par::set_threads(0);
@@ -378,7 +378,7 @@ TEST(Loadgen, DigestStableAcrossThreadCountsAndNoFailedRequests) {
 }
 
 TEST(Loadgen, DeadlinesAndTightAdmissionStayTypedAndDrain) {
-  serve::LoadgenConfig config;
+  fleet::LoadgenConfig config;
   config.mesh = "8x8";
   config.clients = 96;
   config.ticks = 48;
@@ -388,7 +388,7 @@ TEST(Loadgen, DeadlinesAndTightAdmissionStayTypedAndDrain) {
   config.service.admission.max_queue_depth = 4;
   config.client.deadline_ticks = 12;
   config.client.hedge = true;
-  const serve::LoadgenResult result = serve::run_loadgen(config);
+  const fleet::LoadgenResult result = fleet::run_loadgen(config);
   EXPECT_EQ(result.failed_requests, 0);
   EXPECT_EQ(result.final_queue_depth, 0);
   // The overload has to show up somewhere typed: sheds at the response

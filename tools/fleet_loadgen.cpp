@@ -1,244 +1,83 @@
-// fleet_loadgen — federation replay against the fault-tolerant fleet.
-//
-// Simulated clients talk to a FleetManager of N manager+service shards
-// while two fault regimes run at once: per-shard mesh storms (node/link
-// kills feeding each shard's reconfigure loop) and a shard-level chaos
-// schedule that kills or hangs WHOLE SHARDS mid-traffic. The fleet fails
-// requests over, quarantines unhealthy shards, and recovers killed ones
-// through their durable state directories.
-//
-// The run is virtual-time, so the terminal outcome stream (and the FNV
-// digest folded over it) is a pure function of the flags — bit-identical
-// at any --threads value AND across --recovery reopen/live (the
-// restart-transparency anchor: a shard recovered from disk must be
-// outcome-identical to one that never died). The CI fleet-soak lane
-// gates on both diffs.
-//
-// Exit status: 0 when failed_requests == 0 and the fleet fully drained;
-// 1 on a violation; 2 on usage errors. With --json the run writes the
+// fleet_loadgen — federation replay against the fault-tolerant fleet:
+// simulated clients talk to a FleetManager of N manager+service shards
+// while per-shard mesh storms run and a chaos schedule kills or hangs
+// WHOLE SHARDS mid-traffic. The CI fleet-soak lane diffs the `digest:`
+// line across LAMBMESH_THREADS=1/4/16 and --recovery reopen/live (a
+// shard recovered from disk must be outcome-identical to one that never
+// died; the contract is in src/fleet/loadgen.hpp, exit statuses in
+// tools/loadgen_cli.hpp). With --json the run writes the
 // BENCH_fleet.json document that tools/check_bench_gates.py asserts on.
 //
 // Examples:
 //   fleet_loadgen run
 //   fleet_loadgen run --fleet-shards 4 --shard-kills 3 --recovery live
 //   fleet_loadgen run --hedge --json BENCH_fleet.json
-#include <cinttypes>
-#include <cstdio>
 #include <string>
 
-#include "fleet/loadgen.hpp"
-#include "io/cli_args.hpp"
-#include "io/serve_cli.hpp"
-#include "obs/obs.hpp"
-#include "support/parallel.hpp"
+#include "loadgen_cli.hpp"
 
 using namespace lamb;
 
 namespace {
 
-using Args = io::CliArgs;
+constexpr char kUsage[] =
+    "  --mesh WxH..      per-shard geometry (8x8)\n"
+    "  --fleet-shards N  manager+service shards (3)\n"
+    "  --clients N       simulated concurrent clients (96)\n"
+    "  --ticks T         issue + chaos horizon, ticks (400)\n"
+    "  --initial-faults F  static faults per shard (2)\n"
+    "  --node-kills K    mesh storm node kills per shard (4)\n"
+    "  --link-kills L    mesh storm link kills per shard (1)\n"
+    "  --shard-kills K   whole-shard kills over the horizon (2)\n"
+    "  --shard-hangs H   whole-shard hangs over the horizon (1)\n"
+    "  --downtime-min T  min shard downtime, ticks (12)\n"
+    "  --downtime-max T  max shard downtime, ticks (24)\n"
+    "  --recovery MODE   reopen (restart via the StateDir) or\n"
+    "                    live (parked object; the reference\n"
+    "                    arm reopen must match) (reopen)\n"
+    "  --state-root DIR  durable state root (fleet-state)\n"
+    "  --reconfigure-ticks W  solve+publish slot width (4)\n"
+    "  --heartbeat-timeout T  missed-heartbeat quarantine (8)\n"
+    "  --cooloff T       min ticks quarantined (16)\n"
+    "  --recovering T    RECOVERING -> SERVING delay (8)\n"
+    "  --rate R          admission refill per shard-tick (16)\n"
+    "  --hedge           hedge first sheds through the fleet's\n"
+    "                    health view\n";
 
-[[noreturn]] void usage(const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr,
-               "usage: fleet_loadgen run [options]\n"
-               "\n"
-               "options (defaults in parens):\n"
-               "  --mesh WxH..      per-shard geometry (8x8)\n"
-               "  --fleet-shards N  manager+service shards (3)\n"
-               "  --clients N       simulated concurrent clients (96)\n"
-               "  --ticks T         issue + chaos horizon, ticks (400)\n"
-               "  --seed S          master seed (20020416)\n"
-               "  --initial-faults F  static faults per shard (2)\n"
-               "  --node-kills K    mesh storm node kills per shard (4)\n"
-               "  --link-kills L    mesh storm link kills per shard (1)\n"
-               "  --shard-kills K   whole-shard kills over the horizon (2)\n"
-               "  --shard-hangs H   whole-shard hangs over the horizon (1)\n"
-               "  --downtime-min T  min shard downtime, ticks (12)\n"
-               "  --downtime-max T  max shard downtime, ticks (24)\n"
-               "  --recovery MODE   reopen (restart via the StateDir) or\n"
-               "                    live (parked object; the reference\n"
-               "                    arm reopen must match) (reopen)\n"
-               "  --state-root DIR  durable state root (fleet-state)\n"
-               "  --reconfigure-ticks W  solve+publish slot width (4)\n"
-               "  --heartbeat-timeout T  missed-heartbeat quarantine (8)\n"
-               "  --cooloff T       min ticks quarantined (16)\n"
-               "  --recovering T    RECOVERING -> SERVING delay (8)\n"
-               "  --staleness-cap C stale-epoch serving limit, ticks (8)\n"
-               "  --rate R          admission refill per shard-tick (16)\n"
-               "  --queue-depth D   bounded per-shard queue depth (64)\n"
-               "  --period P        client ticks between requests (4)\n"
-               "  --max-attempts A  client submissions per request (6)\n"
-               "  --deadline D      per-request deadline, ticks; -1 none (-1)\n"
-               "  --hedge           hedge first sheds through the fleet's\n"
-               "                    health view\n"
-               "  --json PATH       write the BENCH_fleet.json document\n"
-               "  --serve SPEC      serve /metrics, /healthz, /slo over\n"
-               "                    HTTP while the run executes\n"
-               "  --threads T       solver threads; digest is identical\n"
-               "                    at any value\n");
-  std::exit(2);
-}
-
-int cmd_run(const Args& args) {
-  fleet::FleetLoadgenConfig config;
-  config.fleet.state_root = "fleet-state";
-  config.fleet.mesh = args.get("mesh", config.fleet.mesh);
-  config.fleet.shards = args.get_int("fleet-shards", config.fleet.shards);
-  config.clients = args.get_long("clients", config.clients);
-  config.ticks = args.get_long("ticks", config.ticks);
-  config.seed = static_cast<std::uint64_t>(
-      args.get_long("seed", static_cast<long>(config.seed)));
-  config.fleet.initial_node_faults =
-      args.get_long("initial-faults", config.fleet.initial_node_faults);
-  config.storm_node_kills =
-      args.get_long("node-kills", config.storm_node_kills);
-  config.storm_link_kills =
-      args.get_long("link-kills", config.storm_link_kills);
-  config.shard_kills = args.get_long("shard-kills", config.shard_kills);
-  config.shard_hangs = args.get_long("shard-hangs", config.shard_hangs);
-  config.min_downtime = args.get_long("downtime-min", config.min_downtime);
-  config.max_downtime = args.get_long("downtime-max", config.max_downtime);
+const char* configure(const io::CliArgs& args, fleet::LoadgenConfig* config) {
+  fleet::ShardChaos& chaos = *config->chaos;
+  chaos.shards = args.get_int("fleet-shards", chaos.shards);
+  chaos.shard_kills = args.get_long("shard-kills", chaos.shard_kills);
+  chaos.shard_hangs = args.get_long("shard-hangs", chaos.shard_hangs);
+  chaos.min_downtime = args.get_long("downtime-min", chaos.min_downtime);
+  chaos.max_downtime = args.get_long("downtime-max", chaos.max_downtime);
   const std::string mode = args.get("recovery", "reopen");
   if (mode == "reopen") {
-    config.fleet.recovery = fleet::RecoveryMode::kReopen;
+    chaos.recovery = fleet::RecoveryMode::kReopen;
   } else if (mode == "live") {
-    config.fleet.recovery = fleet::RecoveryMode::kLive;
+    chaos.recovery = fleet::RecoveryMode::kLive;
   } else {
-    usage("--recovery must be reopen or live");
+    return "--recovery must be reopen or live";
   }
-  config.fleet.state_root =
-      args.get("state-root", config.fleet.state_root);
-  config.fleet.reconfigure_ticks =
-      args.get_long("reconfigure-ticks", config.fleet.reconfigure_ticks);
-  config.fleet.heartbeat_timeout =
-      args.get_long("heartbeat-timeout", config.fleet.heartbeat_timeout);
-  config.fleet.quarantine_cooloff =
-      args.get_long("cooloff", config.fleet.quarantine_cooloff);
-  config.fleet.recovering_ticks =
-      args.get_long("recovering", config.fleet.recovering_ticks);
-  config.fleet.service.staleness_cap =
-      args.get_long("staleness-cap", config.fleet.service.staleness_cap);
-  config.fleet.service.admission.refill_per_tick = args.get_double(
-      "rate", config.fleet.service.admission.refill_per_tick);
-  config.fleet.service.admission.max_queue_depth = args.get_long(
-      "queue-depth", config.fleet.service.admission.max_queue_depth);
-  config.client.issue_period =
-      args.get_long("period", config.client.issue_period);
-  config.client.max_attempts =
-      args.get_int("max-attempts", config.client.max_attempts);
-  config.client.deadline_ticks =
-      args.get_long("deadline", config.client.deadline_ticks);
-  config.client.hedge = args.has("hedge");
-  if (config.clients < 1) usage("--clients must be >= 1");
-  if (config.ticks < 1) usage("--ticks must be >= 1");
-  if (config.fleet.shards < 2) usage("--fleet-shards must be >= 2");
-
-  const fleet::FleetLoadgenResult result = fleet::run_fleet_loadgen(config);
-
-  std::printf(
-      "fleet_loadgen: %d x %s shards, %lld clients, %lld ticks "
-      "(+%lld cooldown), %lld mesh faults, %lld shard events (%s)\n",
-      config.fleet.shards, config.fleet.mesh.c_str(),
-      static_cast<long long>(config.clients),
-      static_cast<long long>(config.ticks),
-      static_cast<long long>(result.cooldown_used),
-      static_cast<long long>(result.storm_events),
-      static_cast<long long>(result.chaos_events),
-      config.fleet.recovery == fleet::RecoveryMode::kReopen ? "reopen"
-                                                            : "live");
-  std::printf(
-      "outcomes %lld: fresh %lld, stale %lld, fallback %lld, "
-      "overloaded %lld, rejected %lld, unroutable %lld, deadline %lld, "
-      "errors %lld\n",
-      static_cast<long long>(result.outcomes),
-      static_cast<long long>(result.served_fresh),
-      static_cast<long long>(result.served_stale),
-      static_cast<long long>(result.served_fallback),
-      static_cast<long long>(result.gave_up_overloaded),
-      static_cast<long long>(result.gave_up_rejected),
-      static_cast<long long>(result.unroutable),
-      static_cast<long long>(result.deadline_exceeded),
-      static_cast<long long>(result.errors));
-  std::printf(
-      "fleet: failovers %lld, hedges %lld, evicted %lld, kills %lld, "
-      "hangs %lld, quarantines %lld (hb %lld, burn %lld), reopens %lld, "
-      "readmissions %lld, windows %lld\n",
-      static_cast<long long>(result.fleet.failovers),
-      static_cast<long long>(result.fleet.hedges_redirected),
-      static_cast<long long>(result.fleet.evicted),
-      static_cast<long long>(result.fleet.kills),
-      static_cast<long long>(result.fleet.hangs),
-      static_cast<long long>(result.fleet.quarantines),
-      static_cast<long long>(result.fleet.heartbeat_timeouts),
-      static_cast<long long>(result.fleet.burn_quarantines),
-      static_cast<long long>(result.fleet.reopens),
-      static_cast<long long>(result.fleet.readmissions),
-      static_cast<long long>(result.fleet.windows_granted));
-  if (result.vend_latency.count > 0) {
-    std::printf(
-        "global vend latency us: p50 %.1f, p95 %.1f, p99 %.1f (n=%lld)\n",
-        result.vend_latency.p50 * 1e6, result.vend_latency.p95 * 1e6,
-        result.vend_latency.p99 * 1e6,
-        static_cast<long long>(result.vend_latency.count));
-  }
-  std::printf("final epochs:");
-  for (const int epoch : result.final_epochs) std::printf(" %d", epoch);
-  std::printf("\n");
-  // Own line, fault_storm's `^digest:` convention: the fleet-soak CI
-  // lane greps and sort -u's these across LAMBMESH_THREADS values and
-  // across --recovery reopen/live.
-  std::printf("digest: 0x%016" PRIx64 "\n", result.digest);
-
-  if (args.has("json")) {
-    const std::string path = args.get("json");
-    if (!fleet::write_fleet_json(path, config, result)) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
-  if (result.failed_requests > 0) {
-    std::printf("FAILED: %lld covered request(s) of a certified epoch "
-                "failed to route\n",
-                static_cast<long long>(result.failed_requests));
-    return 1;
-  }
-  if (result.final_queue_depth > 0) {
-    std::printf("FAILED: %lld request(s) still queued after cooldown\n",
-                static_cast<long long>(result.final_queue_depth));
-    return 1;
-  }
-  std::printf("OK\n");
-  return 0;
+  chaos.state_root = args.get("state-root", "fleet-state");
+  chaos.heartbeat_timeout =
+      args.get_long("heartbeat-timeout", chaos.heartbeat_timeout);
+  chaos.quarantine_cooloff =
+      args.get_long("cooloff", chaos.quarantine_cooloff);
+  chaos.recovering_ticks =
+      args.get_long("recovering", chaos.recovering_ticks);
+  if (chaos.shards < 2) return "--fleet-shards must be >= 2";
+  return nullptr;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  try {
-    args = Args::parse(argc, argv, {"hedge"});
-    args.require_known(
-        {"mesh", "fleet-shards", "clients", "ticks", "seed", "initial-faults",
-         "node-kills", "link-kills", "shard-kills", "shard-hangs",
-         "downtime-min", "downtime-max", "recovery", "state-root",
-         "reconfigure-ticks", "heartbeat-timeout", "cooloff", "recovering",
-         "staleness-cap", "rate", "queue-depth", "period", "max-attempts",
-         "deadline", "hedge", "json", "serve", "threads"});
-    if (args.has("threads")) {
-      par::set_threads(args.get_int("threads", 0));
-    }
-  } catch (const io::ArgError& e) {
-    usage(e.what());
-  }
-  if (!io::start_serve_exposition(args, "fleet_loadgen")) return 2;
-  obs::init(argc, argv);
-  try {
-    if (args.command() == "run") return cmd_run(args);
-    usage(("unknown command " + args.command()).c_str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  return tools::loadgen_main(
+      argc, argv,
+      {"fleet_loadgen", kUsage, fleet::fleet_loadgen_defaults(),
+       {"fleet-shards", "shard-kills", "shard-hangs", "downtime-min",
+        "downtime-max", "recovery", "state-root", "heartbeat-timeout",
+        "cooloff", "recovering"},
+       configure});
 }

@@ -1,200 +1,49 @@
-// route_loadgen — seeded request-stream replay against the serving layer.
-//
-// Thousands of simulated clients ask RouteService for survivor routes
-// while a seeded fault storm strikes the machine and reconfigurations
-// publish new epochs underneath them. The run is virtual-time and
-// single-threaded at the request plane, so the terminal outcome stream
-// (and the FNV digest folded over it) is a pure function of the flags —
-// bit-identical at any --threads value, which the CI serve-soak lane
-// gates on by diffing digests across LAMBMESH_THREADS=1/4/16.
-//
-// Exit status: 0 when every covered pair of a certified epoch vended a
-// route (failed_requests == 0) and the queues fully drained; 1 on a
-// guarantee violation; 2 on usage errors. With --json the run writes the
-// BENCH_serve.json document (outcome counts, vend-latency percentiles,
-// SLO snapshot, gates) that tools/check_bench_gates.py asserts on.
+// route_loadgen — seeded request-stream replay against one
+// RouteService: thousands of simulated clients ask for survivor routes
+// while a fault storm strikes the machine and new epochs publish
+// underneath them. The CI serve-soak lane diffs the `digest:` line
+// across LAMBMESH_THREADS=1/4/16 (the determinism contract is in
+// src/fleet/loadgen.hpp; exit statuses in tools/loadgen_cli.hpp). With
+// --json the run writes the BENCH_serve.json document that
+// tools/check_bench_gates.py asserts on.
 //
 // Examples:
 //   route_loadgen run
 //   route_loadgen run --mesh 16x16 --clients 2000 --ticks 400
 //   route_loadgen run --rate 4 --queue-depth 8        # force shedding
 //   route_loadgen run --deadline 24 --hedge --json BENCH_serve.json
-#include <cinttypes>
-#include <cstdio>
-#include <string>
-
-#include "io/cli_args.hpp"
-#include "io/serve_cli.hpp"
-#include "obs/obs.hpp"
-#include "serve/loadgen.hpp"
-#include "support/parallel.hpp"
+#include "loadgen_cli.hpp"
 
 using namespace lamb;
 
 namespace {
 
-using Args = io::CliArgs;
+constexpr char kUsage[] =
+    "  --mesh WxH..      geometry (16x16), 't' suffix for torus\n"
+    "  --clients N       simulated concurrent clients (512)\n"
+    "  --ticks T         issue horizon in virtual ticks (240)\n"
+    "  --initial-faults F  static faults before epoch 1 (4)\n"
+    "  --node-kills K    storm node kills over the horizon (6)\n"
+    "  --link-kills L    storm link kills over the horizon (2)\n"
+    "  --reconfigure-ticks W  reconfigure window width: ticks\n"
+    "                    from begin_reconfigure to publish (4)\n"
+    "  --shards N        admission shards (4)\n"
+    "  --rate R          token-bucket refill per shard-tick (16)\n"
+    "  --burst B         token-bucket capacity (32)\n"
+    "  --hedge           re-submit a first shed to the next shard\n";
 
-[[noreturn]] void usage(const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr,
-               "usage: route_loadgen run [options]\n"
-               "\n"
-               "options (defaults in parens):\n"
-               "  --mesh WxH..      geometry (16x16), 't' suffix for torus\n"
-               "  --clients N       simulated concurrent clients (512)\n"
-               "  --ticks T         issue horizon in virtual ticks (240)\n"
-               "  --seed S          master seed (20020416)\n"
-               "  --initial-faults F  static faults before epoch 1 (4)\n"
-               "  --node-kills K    storm node kills over the horizon (6)\n"
-               "  --link-kills L    storm link kills over the horizon (2)\n"
-               "  --reconfigure-ticks W  reconfigure window width: ticks\n"
-               "                    from begin_reconfigure to publish (4)\n"
-               "  --staleness-cap C stale-epoch serving limit, ticks (8)\n"
-               "  --shards N        admission shards (4)\n"
-               "  --rate R          token-bucket refill per shard-tick (16)\n"
-               "  --burst B         token-bucket capacity (32)\n"
-               "  --queue-depth D   bounded per-shard queue depth (64)\n"
-               "  --period P        client ticks between requests (4)\n"
-               "  --max-attempts A  client submissions per request (6)\n"
-               "  --deadline D      per-request deadline, ticks; -1 none (-1)\n"
-               "  --hedge           re-submit a first shed to the next shard\n"
-               "  --json PATH       write the BENCH_serve.json document\n"
-               "  --serve SPEC      serve /metrics, /healthz, /slo over\n"
-               "                    HTTP while the run executes\n"
-               "  --threads T       solver threads; digest is identical\n"
-               "                    at any value\n"
-               "  --verbose         per-status outcome breakdown\n");
-  std::exit(2);
-}
-
-int cmd_run(const Args& args) {
-  serve::LoadgenConfig config;
-  config.mesh = args.get("mesh", config.mesh);
-  config.clients = args.get_long("clients", config.clients);
-  config.ticks = args.get_long("ticks", config.ticks);
-  config.seed = static_cast<std::uint64_t>(
-      args.get_long("seed", static_cast<long>(config.seed)));
-  config.initial_node_faults =
-      args.get_long("initial-faults", config.initial_node_faults);
-  config.storm_node_kills =
-      args.get_long("node-kills", config.storm_node_kills);
-  config.storm_link_kills =
-      args.get_long("link-kills", config.storm_link_kills);
-  config.reconfigure_ticks =
-      args.get_long("reconfigure-ticks", config.reconfigure_ticks);
-  config.service.staleness_cap =
-      args.get_long("staleness-cap", config.service.staleness_cap);
-  config.service.admission.shards =
-      args.get_int("shards", config.service.admission.shards);
-  config.service.admission.refill_per_tick =
-      args.get_double("rate", config.service.admission.refill_per_tick);
-  config.service.admission.bucket_capacity =
-      args.get_double("burst", config.service.admission.bucket_capacity);
-  config.service.admission.max_queue_depth = args.get_long(
-      "queue-depth", config.service.admission.max_queue_depth);
-  config.client.issue_period =
-      args.get_long("period", config.client.issue_period);
-  config.client.max_attempts =
-      args.get_int("max-attempts", config.client.max_attempts);
-  config.client.deadline_ticks =
-      args.get_long("deadline", config.client.deadline_ticks);
-  config.client.hedge = args.has("hedge");
-  if (config.clients < 1) usage("--clients must be >= 1");
-  if (config.ticks < 1) usage("--ticks must be >= 1");
-
-  const serve::LoadgenResult result = serve::run_loadgen(config);
-
-  std::printf(
-      "route_loadgen: %s, %lld clients, %lld ticks (+%lld cooldown), "
-      "%lld storm events, %lld reconfigures\n",
-      config.mesh.c_str(), static_cast<long long>(config.clients),
-      static_cast<long long>(config.ticks),
-      static_cast<long long>(result.cooldown_used),
-      static_cast<long long>(result.storm_events),
-      static_cast<long long>(result.reconfigures));
-  std::printf(
-      "outcomes %lld: fresh %lld, stale %lld, fallback %lld, "
-      "overloaded %lld, rejected %lld, unroutable %lld, deadline %lld, "
-      "errors %lld\n",
-      static_cast<long long>(result.outcomes),
-      static_cast<long long>(result.served_fresh),
-      static_cast<long long>(result.served_stale),
-      static_cast<long long>(result.served_fallback),
-      static_cast<long long>(result.gave_up_overloaded),
-      static_cast<long long>(result.gave_up_rejected),
-      static_cast<long long>(result.unroutable),
-      static_cast<long long>(result.deadline_exceeded),
-      static_cast<long long>(result.errors));
-  std::printf(
-      "responses: submitted %lld, queued %lld, shed %lld, "
-      "max queue depth %lld, final depth %lld\n",
-      static_cast<long long>(result.service.submitted),
-      static_cast<long long>(result.service.queued),
-      static_cast<long long>(result.service.shed),
-      static_cast<long long>(result.service.max_queue_depth),
-      static_cast<long long>(result.final_queue_depth));
-  if (result.vend_latency.count > 0) {
-    std::printf("vend latency us: p50 %.1f, p95 %.1f, p99 %.1f (n=%lld)\n",
-                result.vend_latency.p50 * 1e6, result.vend_latency.p95 * 1e6,
-                result.vend_latency.p99 * 1e6,
-                static_cast<long long>(result.vend_latency.count));
-  }
-  std::printf("epoch %d, survivors %lld\n", result.final_epoch,
-              static_cast<long long>(result.survivors));
-  // Own line, fault_storm's `^digest:` convention: the serve-soak CI
-  // lane greps and sort -u's these across LAMBMESH_THREADS values.
-  std::printf("digest: 0x%016" PRIx64 "\n", result.digest);
-
-  if (args.has("json")) {
-    const std::string path = args.get("json");
-    if (!serve::write_serve_json(path, config, result)) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
-  if (result.failed_requests > 0) {
-    std::printf("FAILED: %lld covered request(s) of a certified epoch "
-                "failed to route\n",
-                static_cast<long long>(result.failed_requests));
-    return 1;
-  }
-  if (result.final_queue_depth > 0) {
-    std::printf("FAILED: %lld request(s) still queued after cooldown\n",
-                static_cast<long long>(result.final_queue_depth));
-    return 1;
-  }
-  std::printf("OK\n");
-  return 0;
+const char* configure(const io::CliArgs& args, fleet::LoadgenConfig* config) {
+  serve::AdmissionOptions& admission = config->service.admission;
+  admission.shards = args.get_int("shards", admission.shards);
+  admission.bucket_capacity =
+      args.get_double("burst", admission.bucket_capacity);
+  return nullptr;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  try {
-    args = Args::parse(argc, argv, {"hedge", "verbose"});
-    args.require_known({"mesh", "clients", "ticks", "seed", "initial-faults",
-                        "node-kills", "link-kills", "reconfigure-ticks",
-                        "staleness-cap", "shards", "rate", "burst",
-                        "queue-depth", "period", "max-attempts", "deadline",
-                        "hedge", "json", "serve", "threads", "verbose"});
-    if (args.has("threads")) {
-      par::set_threads(args.get_int("threads", 0));
-    }
-  } catch (const io::ArgError& e) {
-    usage(e.what());
-  }
-  // Helper first: obs::init's raw --serve scan defers to an already
-  // running server, so the one spec resolution lives in io::serve_cli.
-  if (!io::start_serve_exposition(args, "route_loadgen")) return 2;
-  obs::init(argc, argv);
-  try {
-    if (args.command() == "run") return cmd_run(args);
-    usage(("unknown command " + args.command()).c_str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  return tools::loadgen_main(
+      argc, argv,
+      {"route_loadgen", kUsage, {}, {"shards", "burst"}, configure});
 }

@@ -68,12 +68,12 @@ Bits BitMatrix::column_all() const {
   return acc;
 }
 
-void BitMatrix::product(const BitMatrix& a, const BitMatrix& b, BitMatrix* out,
-                        bool accumulate) {
+void BitMatrix::product(const BitMatrix& a, const BitMatrix& b,
+                        BitMatrix* out) {
   assert(a.cols_ == b.rows_);
   if (out->rows_ != a.rows_ || out->cols_ != b.cols_) {
     *out = BitMatrix(a.rows_, b.cols_);
-  } else if (!accumulate) {
+  } else {
     std::fill(out->data_.begin(), out->data_.end(), 0);
   }
   if (a.rows_ == 0 || a.cols_ == 0 || b.cols_ == 0) return;
@@ -174,70 +174,13 @@ void BitMatrix::product(const BitMatrix& a, const BitMatrix& b, BitMatrix* out,
 
 BitMatrix BitMatrix::multiply(const BitMatrix& a, const BitMatrix& b) {
   BitMatrix out;
-  product(a, b, &out, /*accumulate=*/false);
+  product(a, b, &out);
   return out;
 }
 
 void BitMatrix::multiply_into(const BitMatrix& a, const BitMatrix& b,
                               BitMatrix* out) {
-  product(a, b, out, /*accumulate=*/false);
-}
-
-void BitMatrix::multiply_accumulate(const BitMatrix& a, const BitMatrix& b,
-                                    BitMatrix* out) {
-  assert(out->rows_ == a.rows_ && out->cols_ == b.cols_);
-  product(a, b, out, /*accumulate=*/true);
-}
-
-void BitMatrix::multiply_rows_into(const BitMatrix& a, const BitMatrix& b,
-                                   const std::vector<std::uint8_t>& compute_row,
-                                   BitMatrix* out) {
-  assert(a.cols_ == b.rows_);
-  assert(out->rows_ == a.rows_ && out->cols_ == b.cols_);
-  assert(static_cast<std::int64_t>(compute_row.size()) == a.rows_);
-  const std::int64_t out_words = out->words_per_row_;
-  const std::int64_t a_words = a.words_per_row_;
-  const std::int64_t b_words = b.words_per_row_;
-  for (std::int64_t i = 0; i < a.rows_; ++i) {
-    if (compute_row[static_cast<std::size_t>(i)] == 0) continue;
-    std::uint64_t* out_row = &out->data_[static_cast<std::size_t>(i * out_words)];
-    std::fill(out_row, out_row + out_words, 0);
-    const std::uint64_t* a_row = &a.data_[static_cast<std::size_t>(i * a_words)];
-    for (std::int64_t wi = 0; wi < a_words; ++wi) {
-      std::uint64_t w = a_row[wi];
-      while (w != 0) {
-        const std::int64_t k = wi * 64 + std::countr_zero(w);
-        w &= w - 1;
-        const std::uint64_t* b_row =
-            &b.data_[static_cast<std::size_t>(k * b_words)];
-        for (std::int64_t wo = 0; wo < out_words; ++wo) {
-          out_row[wo] |= b_row[wo];
-        }
-      }
-    }
-  }
-}
-
-bool BitMatrix::row_equals_mapped(
-    std::int64_t i, const BitMatrix& other, std::int64_t oi,
-    const std::vector<std::int64_t>& old_col_of_new) const {
-  assert(static_cast<std::int64_t>(old_col_of_new.size()) == cols_);
-  std::int64_t mapped_old_ones = 0;
-  for (std::int64_t j = 0; j < cols_; ++j) {
-    const std::int64_t oj = old_col_of_new[static_cast<std::size_t>(j)];
-    const bool old_bit = oj >= 0 && other.get(oi, oj);
-    if (get(i, j) != old_bit) return false;
-    if (old_bit) ++mapped_old_ones;
-  }
-  // Every set old bit must be accounted for by the map, or the rows only
-  // looked equal because a dropped old column was never compared.
-  std::int64_t old_ones = 0;
-  const std::uint64_t* old_row =
-      &other.data_[static_cast<std::size_t>(oi * other.words_per_row_)];
-  for (std::int64_t wi = 0; wi < other.words_per_row_; ++wi) {
-    old_ones += std::popcount(old_row[wi]);
-  }
-  return old_ones == mapped_old_ones;
+  product(a, b, out);
 }
 
 namespace {
@@ -281,45 +224,6 @@ void BitMatrix::copy_row_range(std::int64_t i, std::int64_t dst_start,
     spos += n;
     len -= n;
   }
-}
-
-bool BitMatrix::row_range_equals(std::int64_t i, std::int64_t start,
-                                 const BitMatrix& other, std::int64_t oi,
-                                 std::int64_t ostart, std::int64_t len) const {
-  assert(start >= 0 && start + len <= cols_);
-  assert(ostart >= 0 && ostart + len <= other.cols_);
-  const std::uint64_t* a = &data_[static_cast<std::size_t>(i * words_per_row_)];
-  const std::uint64_t* b =
-      &other.data_[static_cast<std::size_t>(oi * other.words_per_row_)];
-  while (len > 0) {
-    const std::int64_t n = std::min<std::int64_t>(len, 64);
-    if (read_bits(a, start, n) != read_bits(b, ostart, n)) return false;
-    start += n;
-    ostart += n;
-    len -= n;
-  }
-  return true;
-}
-
-std::int64_t BitMatrix::row_and_count(std::int64_t i, const Bits& mask) const {
-  assert(mask.size() == cols_);
-  const std::uint64_t* row = &data_[static_cast<std::size_t>(i * words_per_row_)];
-  const auto& mw = mask.words();
-  std::int64_t total = 0;
-  for (std::size_t wi = 0; wi < mw.size(); ++wi) {
-    total += std::popcount(row[wi] & mw[wi]);
-  }
-  return total;
-}
-
-bool BitMatrix::row_intersects(std::int64_t i, const Bits& mask) const {
-  assert(mask.size() == cols_);
-  const std::uint64_t* row = &data_[static_cast<std::size_t>(i * words_per_row_)];
-  const auto& mw = mask.words();
-  for (std::size_t wi = 0; wi < mw.size(); ++wi) {
-    if ((row[wi] & mw[wi]) != 0) return true;
-  }
-  return false;
 }
 
 std::int64_t BitMatrix::row_clear_masked(std::int64_t i, const Bits& mask) {

@@ -10,14 +10,14 @@
 //      partition. Bails when the damage merges regions.
 //   2. Reach-matrix block reuse (core/reach_matrices.*): an R_t entry is
 //      copied unless a delta fault lies in the bounding box of its
-//      representative pair; chain-product rows are spliced when their
-//      inputs are provably unchanged.
+//      representative pair; I_t entries between surviving cells are
+//      copied.
 //
-// The cover is then solved cold by the same cover phase the full solve
-// runs (internal::cover_phase). The result is therefore bit-identical to
-// solve_lambs on the same cumulative fault set at any thread count: the
-// two layers reproduce the exact R^(k), and the cover phase is shared
-// code fed that same matrix. On any condition that voids the reuse
+// R^(k) is then rebuilt from those factors by reach_chain, and the cover
+// solved cold by internal::cover_phase — both the very code the full
+// solve runs. The result is therefore bit-identical to solve_lambs on
+// the same cumulative fault set at any thread count: the two layers
+// reproduce the exact R_t and I_t, and everything after them is shared. On any condition that voids the reuse
 // (escalated or uncovered previous outcome, merged partition regions,
 // changed orderings, flood-backend regime, budget exhaustion mid-reuse)
 // the call falls back to the full solve_lambs — the caller always gets a

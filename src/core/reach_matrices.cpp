@@ -47,6 +47,23 @@ BitMatrix intersection_matrix(const EquivPartition& des_prev,
   return m;
 }
 
+BitMatrix reach_chain(const std::vector<const BitMatrix*>& r,
+                      const std::vector<const BitMatrix*>& inters) {
+  assert(!r.empty() && inters.size() + 1 == r.size());
+  if (inters.empty()) return *r.front();
+  // acc and scratch ping-pong, so once the shapes repeat each product
+  // reuses the buffer the one before it freed instead of allocating.
+  BitMatrix acc;
+  BitMatrix scratch;
+  const BitMatrix* right = r.back();
+  for (std::size_t t = inters.size(); t-- > 0;) {
+    BitMatrix::multiply_into(*inters[t], *right, &scratch);
+    BitMatrix::multiply_into(*r[t], scratch, &acc);
+    right = &acc;
+  }
+  return acc;
+}
+
 namespace {
 
 // Distinct orderings -> shared partitions and matrices.
@@ -149,40 +166,32 @@ ReachComputation compute_reachability(const MeshShape& shape,
     r[u] = one_round_reach_matrix(oracle, out.ses[u], out.des[u], distinct[u]);
   }
 
-  // Product R1 I1 R2 ... I_{k-1} R_k. Intersection matrices are cached per
-  // (prev_ordering, next_ordering) pair. acc and scratch ping-pong, so
-  // after the shapes stabilize (round 2 onward with repeated orderings)
-  // each product reuses the buffer freed by the one before it instead of
-  // allocating.
-  BitMatrix acc = r[static_cast<std::size_t>(out.round_part[0])];
-  BitMatrix scratch;
+  // Intersection matrices are cached per (prev_ordering, next_ordering)
+  // pair; icache is sized up front, so the pointers into it stay valid.
   std::vector<std::vector<BitMatrix>> icache(
       distinct.size(), std::vector<BitMatrix>(distinct.size()));
-  for (int t = 1; t < k; ++t) {
-    const int prev = out.round_part[static_cast<std::size_t>(t - 1)];
+  std::vector<const BitMatrix*> rounds;
+  std::vector<const BitMatrix*> inters;
+  for (int t = 0; t < k; ++t) {
     const int next = out.round_part[static_cast<std::size_t>(t)];
+    rounds.push_back(&r[static_cast<std::size_t>(next)]);
+    if (t == 0) continue;
+    const int prev = out.round_part[static_cast<std::size_t>(t - 1)];
     BitMatrix& inter = icache[static_cast<std::size_t>(prev)]
                              [static_cast<std::size_t>(next)];
     if (inter.rows() == 0) {
       inter = intersection_matrix(out.des[static_cast<std::size_t>(prev)],
                                   out.ses[static_cast<std::size_t>(next)]);
     }
-    BitMatrix::multiply_into(acc, inter, &scratch);
-    std::swap(acc, scratch);
-    if (capture != nullptr) {
-      capture->inters.push_back(inter);
-      capture->chain.push_back(acc);
-    }
-    BitMatrix::multiply_into(acc, r[static_cast<std::size_t>(next)], &scratch);
-    std::swap(acc, scratch);
-    if (capture != nullptr) capture->chain.push_back(acc);
+    inters.push_back(&inter);
   }
+  out.rk = reach_chain(rounds, inters);
   if (capture != nullptr) {
+    for (const BitMatrix* inter : inters) capture->inters.push_back(*inter);
     capture->distinct = distinct;
-    capture->r = r;
+    capture->r = std::move(r);
     capture->valid = true;
   }
-  out.rk = std::move(acc);
   out.seconds_matrices = watch.seconds();
   return out;
 }
@@ -268,9 +277,9 @@ bool compute_reachability_incremental(
 
   // The old-of-new maps from partition repair are monotone, so they
   // decompose into a handful of identity-with-offset runs. Every splice
-  // and row comparison below works run-by-run at word granularity; the
-  // per-entry loops this replaces cost as much as the oracle calls they
-  // saved, which is why the incremental path used to break even.
+  // below works run-by-run at word granularity; the per-entry loops this
+  // replaces cost as much as the oracle calls they saved, which is why
+  // the incremental path used to break even.
   struct MapRuns {
     struct Run {
       std::int64_t dst;  // first new index of the run
@@ -278,23 +287,18 @@ bool compute_reachability_incremental(
       std::int64_t len;
     };
     std::vector<Run> runs;
-    Bits unmapped_new;   // new indices with no old counterpart
-    Bits unmatched_old;  // old indices the map dropped
+    Bits unmapped_new;  // new indices with no old counterpart
   };
-  auto make_runs = [](const std::vector<std::int64_t>& old_of_new,
-                      std::int64_t old_size) {
+  auto make_runs = [](const std::vector<std::int64_t>& old_of_new) {
     MapRuns mr;
     const std::int64_t n = static_cast<std::int64_t>(old_of_new.size());
     mr.unmapped_new = Bits(n);
-    mr.unmatched_old = Bits(old_size);
-    for (std::int64_t o = 0; o < old_size; ++o) mr.unmatched_old.set(o);
     for (std::int64_t j = 0; j < n; ++j) {
       const std::int64_t o = old_of_new[static_cast<std::size_t>(j)];
       if (o < 0) {
         mr.unmapped_new.set(j);
         continue;
       }
-      mr.unmatched_old.reset(o);
       if (!mr.runs.empty() && mr.runs.back().dst + mr.runs.back().len == j &&
           mr.runs.back().src + mr.runs.back().len == o) {
         ++mr.runs.back().len;
@@ -338,8 +342,7 @@ bool compute_reachability_incremental(
   // piece that kept neither corner) sources its row or column from the
   // parent's, and the delta masks below apply the new faults exactly.
   // Unlike the content maps these are not injective (several pieces may
-  // share a parent), so they are value-reuse only, never splice or flag
-  // bookkeeping.
+  // share a parent), so they are value-reuse only, never a run splice.
   auto parent_of = [](const EquivPartition& old_part,
                       const Point& rep) -> std::int64_t {
     for (std::int64_t o = 0; o < old_part.size(); ++o) {
@@ -354,8 +357,8 @@ bool compute_reachability_incremental(
   for (std::size_t u = 0; u < nu; ++u) {
     upgrade_by_rep(prev.ses[u], res.ses[u], &cses_map[u]);
     upgrade_by_rep(prev.des[u], res.des[u], &cdes_map[u]);
-    ses_runs[u] = make_runs(ses_map[u], prev.ses[u].size());
-    cdes_runs[u] = make_runs(cdes_map[u], prev.des[u].size());
+    ses_runs[u] = make_runs(ses_map[u]);
+    cdes_runs[u] = make_runs(cdes_map[u]);
     pses_map[u].assign(cses_map[u].size(), -1);
     pdes_map[u].assign(cdes_map[u].size(), -1);
     for (std::size_t i = 0; i < cses_map[u].size(); ++i) {
@@ -372,11 +375,9 @@ bool compute_reachability_incremental(
     }
   }
 
-
   // Layer 2: per-ordering R_u with entry-level reuse.
   const int d = shape.dim();
   std::vector<BitMatrix> r(nu);
-  std::vector<std::vector<std::uint8_t>> r_changed(nu);
   for (std::size_t u = 0; u < nu; ++u) {
     const EquivPartition& ses = res.ses[u];
     const EquivPartition& des = res.des[u];
@@ -420,7 +421,6 @@ bool compute_reachability_incremental(
     const std::size_t num_node_dpts = delta_nodes.size();
 
     r[u] = BitMatrix(p, q);
-    r_changed[u].assign(static_cast<std::size_t>(p), 0);
     std::vector<std::int64_t> recomputed(static_cast<std::size_t>(p), 0);
     const MapRuns& druns = cdes_runs[u];
     BitMatrix& ru = r[u];
@@ -449,7 +449,6 @@ bool compute_reachability_incremental(
               ru.set(i, j);
             }
           }
-          r_changed[u][static_cast<std::size_t>(i)] = 1;
           recomputed[static_cast<std::size_t>(i)] = q;
           continue;
         }
@@ -506,7 +505,6 @@ bool compute_reachability_incremental(
         for (const auto& run : druns.runs) {
           ru.copy_row_range(i, run.dst, old_r, oi, run.src, run.len);
         }
-        bool changed = oic < 0;
         std::int64_t rec = 0;
         // Brand-new columns source their old value from the parent cell
         // the same way; only a parentless column (defensive) asks the
@@ -526,11 +524,7 @@ bool compute_reachability_incremental(
         // newly faulted node flips to 0 deterministically, and a copied 0
         // stays 0 by monotonicity (the incremental path only adds
         // faults).
-        const std::int64_t cleared = ru.row_clear_masked(i, node_dirty);
-        if (cleared > 0) {
-          changed = true;
-          rec += cleared;
-        }
+        rec += ru.row_clear_masked(i, node_dirty);
         // Link deltas keep the oracle check on surviving 1s: the mask is
         // a superset of actual traversals, and link direction matters.
         if (link_dirty.any()) {
@@ -539,21 +533,11 @@ bool compute_reachability_incremental(
             if (!oracle.reach1(v, des_reps[static_cast<std::size_t>(j)],
                                distinct[u])) {
               ru.reset(i, j);
-              changed = true;
             }
             ++rec;
           });
         }
-        // The copied runs match the old row by construction, so the only
-        // remaining differences are bits in brand-new columns or old bits
-        // in columns the map dropped; that keeps the flag exactly the
-        // strict both-ways equality the chain splice relies on.
-        if (!changed) {
-          changed = ru.row_intersects(i, druns.unmapped_new) ||
-                    old_r.row_intersects(oi, druns.unmatched_old);
-        }
         recomputed[static_cast<std::size_t>(i)] = rec;
-        r_changed[u][static_cast<std::size_t>(i)] = changed ? 1 : 0;
       }
     });
     for (std::int64_t i = 0; i < p; ++i) {
@@ -562,90 +546,8 @@ bool compute_reachability_incremental(
     }
   }
 
-
-  // Layer 2b: the product chain, splicing rows whose inputs are provably
-  // unchanged. A row splices when its left-factor row strictly equals the
-  // old one (row_equals_mapped) and touches no changed right-factor row;
-  // the copied row is the old product row remapped through the right
-  // factor's column map. Changed flags for the next step are derived by
-  // strict comparison of the recomputed rows, not conservatively.
-  BitMatrix acc = r[static_cast<std::size_t>(res.round_part[0])];
-  std::vector<std::uint8_t> acc_changed =
-      r_changed[static_cast<std::size_t>(res.round_part[0])];
-  const std::vector<std::int64_t>& acc_row_map =
-      cses_map[static_cast<std::size_t>(res.round_part[0])];
-  std::size_t chain_idx = 0;
-
-  auto chain_step = [&](const BitMatrix& b,
-                        const std::vector<std::uint8_t>& b_row_changed,
-                        const MapRuns& bruns) {
-    // For narrow right factors the word-parallel product outruns the
-    // per-row splice bookkeeping (several scattered loads per row versus
-    // a couple of OR words), so small steps just multiply. The bits are
-    // identical either way; only the reuse accounting differs. The
-    // all-ones flags stay sound for later steps: a 1 only forces a
-    // recompute.
-    constexpr std::int64_t kSpliceMinWords = 4;
-    if ((b.cols() + 63) / 64 < kSpliceMinWords) {
-      BitMatrix prod;
-      BitMatrix::multiply_into(acc, b, &prod);
-      acc = std::move(prod);
-      acc_changed.assign(static_cast<std::size_t>(acc.rows()), 1);
-      delta->blocks_recomputed += acc.rows();
-      cap.chain.push_back(acc);
-      ++chain_idx;
-      return;
-    }
-    const BitMatrix& prev_out = prev_cap.chain[chain_idx];
-    BitMatrix nout(acc.rows(), b.cols());
-    std::vector<std::uint8_t> compute(static_cast<std::size_t>(acc.rows()), 0);
-    std::vector<std::uint8_t> nchanged(static_cast<std::size_t>(acc.rows()), 0);
-    Bits changed_rows(b.rows());
-    for (std::int64_t rr = 0; rr < b.rows(); ++rr) {
-      if (b_row_changed[static_cast<std::size_t>(rr)] != 0) {
-        changed_rows.set(rr);
-      }
-    }
-    for (std::int64_t i = 0; i < acc.rows(); ++i) {
-      const std::int64_t old_i = acc_row_map[static_cast<std::size_t>(i)];
-      if (acc_changed[static_cast<std::size_t>(i)] != 0 || old_i < 0 ||
-          acc.row_intersects(i, changed_rows)) {
-        compute[static_cast<std::size_t>(i)] = 1;
-        continue;
-      }
-      for (const auto& run : bruns.runs) {
-        nout.copy_row_range(i, run.dst, prev_out, old_i, run.src, run.len);
-      }
-      // The spliced content is exact, but the row still counts as changed
-      // if the old product row had bits in columns the map dropped — a
-      // later splice keyed on this flag would resurrect them.
-      nchanged[static_cast<std::size_t>(i)] =
-          prev_out.row_intersects(old_i, bruns.unmatched_old) ? 1 : 0;
-      delta->blocks_reused += 1;
-    }
-    BitMatrix::multiply_rows_into(acc, b, compute, &nout);
-    for (std::int64_t i = 0; i < acc.rows(); ++i) {
-      if (compute[static_cast<std::size_t>(i)] == 0) continue;
-      delta->blocks_recomputed += 1;
-      const std::int64_t old_i = acc_row_map[static_cast<std::size_t>(i)];
-      bool changed = old_i < 0;
-      for (const auto& run : bruns.runs) {
-        if (changed) break;
-        changed = !nout.row_range_equals(i, run.dst, prev_out, old_i,
-                                         run.src, run.len);
-      }
-      if (!changed) {
-        changed = nout.row_intersects(i, bruns.unmapped_new) ||
-                  prev_out.row_intersects(old_i, bruns.unmatched_old);
-      }
-      nchanged[static_cast<std::size_t>(i)] = changed ? 1 : 0;
-    }
-    acc = std::move(nout);
-    acc_changed = std::move(nchanged);
-    cap.chain.push_back(acc);
-    ++chain_idx;
-  };
-
+  // Layer 2b: I_t per chain step, with the entries between surviving
+  // cells copied.
   for (int t = 1; t < k; ++t) {
     const std::size_t pu =
         static_cast<std::size_t>(res.round_part[static_cast<std::size_t>(t - 1)]);
@@ -663,7 +565,6 @@ bool compute_reachability_incremental(
     std::vector<std::int64_t> new_cols;
     sruns.unmapped_new.for_each(
         [&](std::int64_t j) { new_cols.push_back(j); });
-    std::vector<std::uint8_t> ichanged(static_cast<std::size_t>(inter.rows()), 0);
     for (std::int64_t rr = 0; rr < inter.rows(); ++rr) {
       const std::int64_t orr = des_map[pu][static_cast<std::size_t>(rr)];
       if (orr < 0) {
@@ -673,7 +574,6 @@ bool compute_reachability_incremental(
             inter.set(rr, j);
           }
         }
-        ichanged[static_cast<std::size_t>(rr)] = 1;
         continue;
       }
       for (const auto& run : sruns.runs) {
@@ -685,23 +585,21 @@ bool compute_reachability_incremental(
           inter.set(rr, j);
         }
       }
-      // Mapped columns match the old row verbatim, so the row changed only
-      // if a new column intersects or the map dropped an old column that
-      // held a bit.
-      ichanged[static_cast<std::size_t>(rr)] =
-          inter.row_intersects(rr, sruns.unmapped_new) ||
-                  old_inter.row_intersects(orr, sruns.unmatched_old)
-              ? 1
-              : 0;
     }
-    cap.inters.push_back(inter);
-    chain_step(inter, ichanged, sruns);
-    chain_step(r[su], r_changed[su], cdes_runs[su]);
+    cap.inters.push_back(std::move(inter));
   }
 
+  // R^(k) itself comes from the code the full solve runs.
+  std::vector<const BitMatrix*> rounds;
+  std::vector<const BitMatrix*> inters;
+  for (int t = 0; t < k; ++t) {
+    rounds.push_back(&r[static_cast<std::size_t>(
+        res.round_part[static_cast<std::size_t>(t)])]);
+    if (t > 0) inters.push_back(&cap.inters[static_cast<std::size_t>(t - 1)]);
+  }
+  res.rk = reach_chain(rounds, inters);
   cap.r = std::move(r);
   cap.valid = true;
-  res.rk = acc;
   res.seconds_matrices = watch.seconds();
   *out = std::move(res);
   *out_cap = std::move(cap);

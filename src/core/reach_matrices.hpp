@@ -3,7 +3,8 @@
 // the intersection matrices I_t, and their Boolean product
 // R^(k) = R1 I1 R2 I2 ... I_{k-1} R_k, whose zeros are exactly the
 // (SES, DES) pairs that cannot communicate in k rounds (Lemma 5.1
-// generalized).
+// generalized). Every solver builds that product with reach_chain, which
+// evaluates it right to left so each sparse I_t is a left factor.
 #pragma once
 
 #include <vector>
@@ -23,6 +24,15 @@ BitMatrix one_round_reach_matrix(const ReachOracle& oracle,
 // I_t(j, i) = 1 iff des_prev[j] and ses_next[i] share a node.
 BitMatrix intersection_matrix(const EquivPartition& des_prev,
                               const EquivPartition& ses_next);
+
+// R^(k) = r[0] inters[0] r[1] ... inters[k-2] r[k-1], evaluated right to
+// left as r[0] (inters[0] (r[1] (... (inters[k-2] r[k-1])))). The product
+// is associative, so the bits are those of any other order; this one
+// makes every I_t (about 1% dense) the left factor of its product, which
+// the set-bit kernel prices by popcount. `inters` must have one entry
+// fewer than `r`. The full, incremental and generic solvers all call it.
+BitMatrix reach_chain(const std::vector<const BitMatrix*>& r,
+                      const std::vector<const BitMatrix*>& inters);
 
 // Everything the lamb solvers need about reachability, for one fault set.
 struct ReachComputation {
@@ -63,16 +73,14 @@ struct ReachCapture {
   std::vector<PartitionSpans> des_spans;
   std::vector<BitMatrix> r;                // R_u per distinct ordering
   std::vector<BitMatrix> inters;           // I_t per chain step t = 1..k-1
-  std::vector<BitMatrix> chain;            // acc after every product (2(k-1))
 };
 
 // Per-layer reuse counters of one incremental Find-Reachability run.
 struct ReachDelta {
   std::int64_t partition_cells_reused = 0;
   std::int64_t partition_cells_recomputed = 0;
-  // "Blocks" are the splice units of the matrix layer: R_t entries copied
-  // from the previous run plus chain-product rows spliced wholesale,
-  // versus entries re-queried / rows re-multiplied.
+  // "Blocks" are R_t entries: copied from the previous run, versus
+  // re-queried or cleared by a delta fault on their route.
   std::int64_t blocks_reused = 0;
   std::int64_t blocks_recomputed = 0;
 };
@@ -95,10 +103,11 @@ ReachComputation compute_reachability(const MeshShape& shape,
 // bound to it. Partitions are repaired locally; an R_t entry is copied
 // whenever both its representatives survived the repair unchanged and no
 // delta fault lies in the bounding box of the pair (a dimension-ordered
-// route never leaves that box); chain-product rows are spliced when their
-// inputs are provably unchanged. Returns false — caller must fall back to
-// the full computation — when the partition repair bails, the orderings
-// do not match the capture, or the fault count has grown into the flood
+// route never leaves that box); I_t entries between unchanged cells are
+// copied. R^(k) is then rebuilt by reach_chain, the same code the full
+// solve runs. Returns false — caller must fall back to the full
+// computation — when the partition repair bails, the orderings do not
+// match the capture, or the fault count has grown into the flood
 // backend's regime.
 bool compute_reachability_incremental(
     const MeshShape& shape, const FaultSet& faults,

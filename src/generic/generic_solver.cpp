@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "core/bit_matrix.hpp"
+#include "core/reach_matrices.hpp"
 #include "graph/bipartite_wvc.hpp"
 #include "reach/flood_oracle.hpp"
 
@@ -119,20 +120,27 @@ GenericLambResult generic_lamb_from_rows(
     return m;
   };
 
-  BitMatrix acc = reach_matrix(0);
-  for (int r = 1; r < k; ++r) {
+  std::vector<BitMatrix> reach(static_cast<std::size_t>(k));
+  std::vector<BitMatrix> inters(static_cast<std::size_t>(k - 1));
+  for (int r = 0; r < k; ++r) {
+    reach[static_cast<std::size_t>(r)] = reach_matrix(r);
+    if (r == 0) continue;
     const Classes& d_prev = dec[static_cast<std::size_t>(r - 1)];
     const Classes& s_next = sec[static_cast<std::size_t>(r)];
-    BitMatrix inter(static_cast<std::int64_t>(d_prev.members.size()),
-                    static_cast<std::int64_t>(s_next.members.size()));
+    BitMatrix& inter = inters[static_cast<std::size_t>(r - 1)];
+    inter = BitMatrix(static_cast<std::int64_t>(d_prev.members.size()),
+                      static_cast<std::int64_t>(s_next.members.size()));
     for (NodeId v = 0; v < num_nodes; ++v) {
       if (!good[static_cast<std::size_t>(v)]) continue;
       inter.set(d_prev.of_node[static_cast<std::size_t>(v)],
                 s_next.of_node[static_cast<std::size_t>(v)]);
     }
-    acc = BitMatrix::multiply(acc, inter);
-    acc = BitMatrix::multiply(acc, reach_matrix(r));
   }
+  std::vector<const BitMatrix*> reach_ptrs;
+  for (const BitMatrix& m : reach) reach_ptrs.push_back(&m);
+  std::vector<const BitMatrix*> inter_ptrs;
+  for (const BitMatrix& m : inters) inter_ptrs.push_back(&m);
+  const BitMatrix acc = reach_chain(reach_ptrs, inter_ptrs);
 
   const Classes& first_sec = sec.front();
   const Classes& last_dec = dec.back();

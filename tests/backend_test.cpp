@@ -23,7 +23,20 @@ struct BackendParam {
   int faults;
   int rounds;
   std::uint64_t seed;
+  // Explicit per-round orderings; empty means ascending in every round.
+  MultiRoundOrder orders = {};
+
+  MultiRoundOrder resolved() const {
+    return orders.empty()
+               ? ascending_rounds(static_cast<int>(widths.size()), rounds)
+               : orders;
+  }
 };
+
+const DimOrder kXY = DimOrder::ascending(2);
+const DimOrder kYX = DimOrder::descending(2);
+const DimOrder kXYZ = DimOrder::ascending(3);
+const DimOrder kZYX = DimOrder::descending(3);
 
 class BackendSweep : public ::testing::TestWithParam<BackendParam> {};
 
@@ -32,7 +45,7 @@ TEST_P(BackendSweep, MatrixAndFloodAgreeBitForBit) {
   const MeshShape shape = MeshShape::mesh(p.widths);
   Rng rng(p.seed);
   const FaultSet faults = FaultSet::random_nodes(shape, p.faults, rng);
-  const auto orders = ascending_rounds(shape.dim(), p.rounds);
+  const auto orders = p.resolved();
   const ReachComputation matrix =
       compute_reachability(shape, faults, orders, ReachBackend::kMatrix);
   const ReachComputation flood =
@@ -46,7 +59,7 @@ TEST_P(BackendSweep, Lamb1IdenticalUnderBothBackends) {
   Rng rng(p.seed ^ 0x77);
   const FaultSet faults = FaultSet::random_nodes(shape, p.faults, rng);
   LambOptions matrix_opts;
-  matrix_opts.rounds = p.rounds;
+  matrix_opts.orders = p.resolved();
   matrix_opts.backend = ReachBackend::kMatrix;
   LambOptions flood_opts = matrix_opts;
   flood_opts.backend = ReachBackend::kFlood;
@@ -66,7 +79,15 @@ INSTANTIATE_TEST_SUITE_P(
                       BackendParam{{5, 7, 4}, 15, 2, 8},
                       BackendParam{{12, 12}, 70, 2, 9},
                       BackendParam{{10, 10}, 50, 4, 10},
-                      BackendParam{{2, 2, 2, 2, 2}, 6, 2, 11}));
+                      BackendParam{{2, 2, 2, 2, 2}, 6, 2, 11},
+                      // Mixed orderings: the intersection cache holds one
+                      // I_t per distinct (prev, next) ordering pair.
+                      BackendParam{{10, 10}, 15, 2, 12, {kXY, kYX}},
+                      BackendParam{{12, 12}, 25, 3, 13, {kXY, kYX, kXY}},
+                      BackendParam{{6, 6, 6}, 20, 3, 14, {kXYZ, kZYX, kXYZ}},
+                      // k = 3 with every factor wider than four words
+                      // (p and q are about 280).
+                      BackendParam{{60, 60}, 260, 3, 15}));
 
 TEST(FloodSet, SetFloodEqualsUnionOfNodeFloods) {
   const MeshShape shape = MeshShape::cube(2, 10);

@@ -6,6 +6,7 @@
 // selectively invalidated route cache.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/incremental.hpp"
@@ -66,17 +67,20 @@ void add_random_link(const MeshShape& shape, FaultSet& faults, Rng& rng) {
 // `per_epoch` new faults each, chaining solve_lambs_incremental and
 // checking it against a from-scratch solve every epoch. Returns how many
 // epochs the incremental path actually produced (vs fell back).
+// `options` sets the rounds or orderings; the context is kept regardless.
+// `first`, when set, receives the stats of the initial solve.
 int run_storm(const MeshShape& shape, std::uint64_t seed, int initial,
-              int epochs, int per_epoch, bool with_links) {
+              int epochs, int per_epoch, bool with_links,
+              LambOptions options = {}, LambStats* first = nullptr) {
   Rng rng(seed);
   FaultSet faults(shape);
   for (int i = 0; i < initial; ++i) {
     faults.add_node(random_good_node(shape, faults, rng));
   }
-  LambOptions options;
   options.keep_context = true;
   SolveOutcome prev = solve_lambs(shape, faults, options);
   EXPECT_NE(prev.context, nullptr);
+  if (first != nullptr) *first = prev.result.stats;
   int used = 0;
   for (int e = 0; e < epochs; ++e) {
     for (int i = 0; i < per_epoch; ++i) {
@@ -123,6 +127,52 @@ TEST(Incremental, BurstStormMatchesFullSolve) {
 TEST(Incremental, ThreeDimensionalStormMatchesFullSolve) {
   const int used = run_storm(MeshShape::cube(3, 8), 904, 8, 6, 1, false);
   EXPECT_GT(used, 0);
+}
+
+// Storms over longer chains: k = 3, and per-round orderings that differ,
+// so the rebuilt I_t and the shared chain see distinct ordering pairs.
+LambOptions with_orders(MultiRoundOrder orders) {
+  LambOptions options;
+  options.orders = std::move(orders);
+  return options;
+}
+
+TEST(Incremental, ThreeRoundStormMatchesFullSolve) {
+  LambOptions options;
+  options.rounds = 3;
+  EXPECT_GT(run_storm(MeshShape::cube(2, 16), 911, 10, 6, 1, true, options),
+            0);
+  EXPECT_GT(run_storm(MeshShape::cube(3, 8), 912, 8, 5, 1, false, options),
+            0);
+}
+
+TEST(Incremental, MixedOrderStormMatchesFullSolve) {
+  const DimOrder xy = DimOrder::ascending(2);
+  const DimOrder yx = DimOrder::descending(2);
+  const DimOrder xyz = DimOrder::ascending(3);
+  const DimOrder zyx = DimOrder::descending(3);
+  EXPECT_GT(run_storm(MeshShape::cube(2, 16), 913, 10, 6, 1, true,
+                      with_orders({xy, yx})),
+            0);
+  EXPECT_GT(run_storm(MeshShape::cube(2, 16), 914, 10, 6, 1, false,
+                      with_orders({xy, yx, xy})),
+            0);
+  EXPECT_GT(run_storm(MeshShape::cube(3, 8), 915, 8, 5, 1, false,
+                      with_orders({xyz, zyx, xyz})),
+            0);
+}
+
+TEST(Incremental, WideFactorThreeRoundStormMatchesFullSolve) {
+  // Enough faults that p and q exceed 256: every chain factor is wider
+  // than four words.
+  LambOptions options;
+  options.rounds = 3;
+  LambStats first;
+  EXPECT_GT(run_storm(MeshShape::cube(2, 60), 916, 260, 3, 1, true, options,
+                      &first),
+            0);
+  EXPECT_GT(first.p, 256);
+  EXPECT_GT(first.q, 256);
 }
 
 TEST(Incremental, EquivalentAtEveryPoolWidth) {

@@ -7,8 +7,8 @@
 //   info      partition / reachability diagnostics for a fault set
 //   simulate  run survivor traffic through the wormhole simulator
 //
-// Examples:
-//   lambmesh_cli solve --geometry 32x32x32 --random-faults 983 --seed 7 \
+// Examples (the first is one command, wrapped):
+//   lambmesh_cli solve --geometry 32x32x32 --random-faults 983 --seed 7
 //                      --output config.lamb
 //   lambmesh_cli verify --input config.lamb
 //   lambmesh_cli simulate --input config.lamb --messages 500 --pattern hotspot

@@ -8,9 +8,11 @@
 #include "core/bit_matrix.hpp"
 #include "core/lamb.hpp"
 #include "core/partition.hpp"
+#include "core/reach_matrices.hpp"
 #include "graph/bipartite_wvc.hpp"
 #include "reach/reach_oracle.hpp"
 #include "reach/route.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace lamb {
@@ -105,6 +107,28 @@ void BM_SparseLeftMultiply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseLeftMultiply)->Arg(10)->Arg(100)->Arg(500);
+
+void BM_ReachChain(benchmark::State& state) {
+  // R^(2) = R (I R) on churn_3d's machine, the Fig. 26 3D instance: M_3(32)
+  // with 983 random node faults (seed 1), two ascending rounds. I R is
+  // about 67% ones and R^(2) nearly all ones, so the product's rows mostly
+  // saturate early. The capture is built once; only reach_chain is timed,
+  // at the solver width given as the argument.
+  const MeshShape shape = MeshShape::cube(3, 32);
+  const FaultSet faults = make_faults(shape, 983, 1);
+  ReachCapture cap;
+  compute_reachability(shape, faults, ascending_rounds(3, 2),
+                       ReachBackend::kMatrix, &cap);
+  const std::vector<const BitMatrix*> r{&cap.r[0], &cap.r[0]};
+  const std::vector<const BitMatrix*> inters{&cap.inters[0]};
+  par::set_threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reach_chain(r, inters));
+  }
+  par::set_threads(0);
+}
+BENCHMARK(BM_ReachChain)->ArgName("threads")->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BipartiteWvc(benchmark::State& state) {
   const int side = (int)state.range(0);

@@ -1,6 +1,11 @@
 // Serial-vs-parallel microbenchmark for the support/parallel.hpp layer:
-//   1. the cache-blocked BitMatrix::multiply kernel (dense and sparse
-//      left factors), reported as wall time and effective GB/s, and
+//   1. the BitMatrix::multiply kernels, reported as wall time and
+//      effective GB/s: the saturating set-bit row kernel on a dense
+//      random product (whose rows fill after a few dozen ORs, so it
+//      measures the early exit), on a dense product that never saturates
+//      (one always-zero column per right-factor word, so every OR runs
+//      over the whole row: kernel throughput), and on a sparse left
+//      factor; and
 //   2. a figure-level percent sweep on M_2(32) (the Figure 17 workload),
 //      the trial-level tier that dominates real reproduction runs.
 // Each workload runs at 1, 2, and N threads (N = --threads, else
@@ -35,11 +40,14 @@ struct Result {
   double speedup = 1.0;   // vs the 1-thread run of the same workload
 };
 
+// With `open_column_per_word`, column 17 of every 64-bit word stays zero,
+// so no output word of a product with this right factor ever fills.
 BitMatrix random_matrix(std::int64_t rows, std::int64_t cols, double density,
-                        Rng& rng) {
+                        Rng& rng, bool open_column_per_word = false) {
   BitMatrix m(rows, cols);
   for (std::int64_t i = 0; i < rows; ++i) {
     for (std::int64_t j = 0; j < cols; ++j) {
+      if (open_column_per_word && (j & 63) == 17) continue;
       if (rng.bernoulli(density)) m.set(i, j);
     }
   }
@@ -48,7 +56,8 @@ BitMatrix random_matrix(std::int64_t rows, std::int64_t cols, double density,
 
 // Times `reps` products a*b. The bytes-moved model charges one read of a
 // b-row (out_words words) per set bit of a, plus one write of the output:
-// the word traffic of the inner OR loop.
+// the word traffic of the inner OR loop when no output word saturates (a
+// saturating product stops early and so reads above memory bandwidth).
 Result time_multiply(const char* workload, const BitMatrix& a,
                      const BitMatrix& b, int reps, int threads) {
   par::set_threads(threads);
@@ -131,6 +140,7 @@ int main(int argc, char** argv) {
   const BitMatrix dense_a = random_matrix(2048, 2048, 0.30, rng);
   const BitMatrix dense_b = random_matrix(2048, 2048, 0.30, rng);
   const BitMatrix sparse_a = random_matrix(2048, 2048, 0.02, rng);
+  const BitMatrix open_b = random_matrix(2048, 2048, 0.30, rng, true);
   const int trials = scaled_trials(60);
 
   std::printf("micro_parallel: hardware_concurrency = %u, ladder = 1..%d\n\n",
@@ -149,6 +159,9 @@ int main(int argc, char** argv) {
   };
   run([&](int t) {
     return time_multiply("multiply_dense_2048", dense_a, dense_b, 3, t);
+  });
+  run([&](int t) {
+    return time_multiply("multiply_dense_nonsat_2048", dense_a, open_b, 3, t);
   });
   run([&](int t) {
     return time_multiply("multiply_sparse_2048", sparse_a, dense_b, 3, t);

@@ -282,9 +282,13 @@ int main(int argc, char** argv) {
   // steady state the recovery loop actually operates in; each storm
   // fault is then a one-node delta on top.
   bool equivalent = true;
+  // 1000 series take about 2 s. With 6 the k = 8 ratio moved by 20%
+  // between runs; with 1000 it repeats within about 3%.
   const int K = 10;
-  const auto series = storm_series(shape, 20, K, 6, &equivalent);
-  std::printf("\n  k-th-fault reconfigure latency (best of 6 series):\n");
+  const int series_reps = 1000;
+  const auto series = storm_series(shape, 20, K, series_reps, &equivalent);
+  std::printf("\n  k-th-fault reconfigure latency (best of %d series):\n",
+              series_reps);
   for (const SeriesPoint& pt : series) {
     std::printf("    k=%-2d  full %8.2f us  incremental %8.2f us  (%5.2fx%s, "
                 "%lld blocks reused)\n",

@@ -10,16 +10,11 @@ namespace lamb {
 
 namespace {
 
-// Left factors below this density use the unblocked set-bit kernel: with
-// so few bits per k-block, blocking only re-traverses the output rows.
-constexpr double kSparseLeftDensity = 0.05;
-// Dense left factors at most this many columns wide use the 4-bit table
-// kernel below; beyond it the table outgrows L1 and blocking wins.
+// Left factors at most this many columns wide and at least this dense use
+// the 4-bit table kernel below (beyond that width the table outgrows L1);
+// every other left factor runs the saturating set-bit row kernel.
 constexpr std::int64_t kTableKernelMaxCols = 256;
-// k-block width in left-operand words: 4 words = 256 right-operand rows
-// per block, i.e. a 32 KiB strip of a 2048-column right factor — L1/L2
-// resident while a whole band of output rows is updated against it.
-constexpr std::int64_t kBlockWords = 4;
+constexpr double kTableKernelMinDensity = 0.05;
 // Minimum rows * output-words before row bands go to the pool; smaller
 // products (the paper's p,q are often < 100) stay on the calling thread.
 constexpr std::int64_t kParallelWorkWords = std::int64_t{1} << 14;
@@ -81,12 +76,18 @@ void BitMatrix::product(const BitMatrix& a, const BitMatrix& b,
   const std::int64_t out_words = out->words_per_row_;
   const std::int64_t a_words = a.words_per_row_;
   const std::int64_t b_words = b.words_per_row_;
-  const double density =
-      static_cast<double>(a.count_ones()) /
-      static_cast<double>(a.rows_ * a.cols_);
-  const bool sparse_left = density < kSparseLeftDensity;
+  const auto run_rows = [&](auto&& rows) {
+    // Disjoint output rows per band: safe to run bands concurrently.
+    if (a.rows_ * out_words >= kParallelWorkWords) {
+      par::parallel_for(0, a.rows_, 0, rows);
+    } else {
+      rows(0, a.rows_);
+    }
+  };
 
-  if (!sparse_left && a.cols_ <= kTableKernelMaxCols) {
+  if (a.cols_ <= kTableKernelMaxCols &&
+      static_cast<double>(a.count_ones()) >=
+          kTableKernelMinDensity * static_cast<double>(a.rows_ * a.cols_)) {
     // "Four Russians" with 4-bit groups: precompute the OR of every
     // subset of each aligned group of 4 b-rows, then each output row
     // costs one table OR per nibble of its a-row instead of one b-row OR
@@ -131,45 +132,42 @@ void BitMatrix::product(const BitMatrix& a, const BitMatrix& b,
         }
       }
     };
-    if (a.rows_ * out_words >= kParallelWorkWords) {
-      par::parallel_for(0, a.rows_, 0, rows);
-    } else {
-      rows(0, a.rows_);
-    }
+    run_rows(rows);
     return;
   }
 
-  auto band = [&](std::int64_t r0, std::int64_t r1) {
-    // Disjoint output rows per band: safe to run bands concurrently.
-    const std::int64_t kb_step = sparse_left ? a_words : kBlockWords;
-    for (std::int64_t kb = 0; kb < a_words; kb += kb_step) {
-      const std::int64_t kb_end = std::min(a_words, kb + kb_step);
-      for (std::int64_t i = r0; i < r1; ++i) {
-        std::uint64_t* out_row =
-            &out->data_[static_cast<std::size_t>(i * out_words)];
-        const std::uint64_t* a_row =
-            &a.data_[static_cast<std::size_t>(i * a_words)];
-        for (std::int64_t wi = kb; wi < kb_end; ++wi) {
-          std::uint64_t w = a_row[wi];
-          while (w != 0) {
-            const std::int64_t k = wi * 64 + std::countr_zero(w);
-            w &= w - 1;
-            const std::uint64_t* b_row =
-                &b.data_[static_cast<std::size_t>(k * b_words)];
-            for (std::int64_t wo = 0; wo < out_words; ++wo) {
-              out_row[wo] |= b_row[wo];
-            }
-          }
+  // Saturating set-bit row kernel: each output row ORs in the b-rows its
+  // a-row selects, but only over its live words [lo, hi), from the first
+  // to the last word that is not yet all ones. OR is idempotent, so
+  // skipping a full word changes no bit. Full words are trimmed off both
+  // ends after every OR (two compares when nothing fills), and the row
+  // stops once none is left: R^(k) on a 3D mesh is nearly all ones. The
+  // padding bits of the last word read as ones until the row is done, so
+  // "full" is one compare per word.
+  const std::uint64_t pad =
+      (b.cols_ & 63) == 0 ? 0 : ~std::uint64_t{0} << (b.cols_ & 63);
+  auto rows = [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t i = r0; i < r1; ++i) {
+      std::uint64_t* out_row =
+          &out->data_[static_cast<std::size_t>(i * out_words)];
+      const std::uint64_t* a_row =
+          &a.data_[static_cast<std::size_t>(i * a_words)];
+      out_row[out_words - 1] = pad;
+      std::int64_t lo = 0;
+      std::int64_t hi = out_words;
+      for (std::int64_t wi = 0; wi < a_words && lo < hi; ++wi) {
+        for (std::uint64_t w = a_row[wi]; w != 0 && lo < hi; w &= w - 1) {
+          const std::uint64_t* b_row = &b.data_[static_cast<std::size_t>(
+              (wi * 64 + std::countr_zero(w)) * b_words)];
+          for (std::int64_t wo = lo; wo < hi; ++wo) out_row[wo] |= b_row[wo];
+          while (lo < hi && out_row[lo] == ~std::uint64_t{0}) ++lo;
+          while (lo < hi && out_row[hi - 1] == ~std::uint64_t{0}) --hi;
         }
       }
+      out_row[out_words - 1] &= ~pad;
     }
   };
-
-  if (a.rows_ * out_words >= kParallelWorkWords) {
-    par::parallel_for(0, a.rows_, 0, band);
-  } else {
-    band(0, a.rows_);
-  }
+  run_rows(rows);
 }
 
 BitMatrix BitMatrix::multiply(const BitMatrix& a, const BitMatrix& b) {

@@ -1,17 +1,18 @@
-// Dense Boolean matrices over 64-bit words with a sparsity-adaptive,
-// cache-blocked product, implementing the matrix machinery of paper
-// Sections 5 and 6.2: R^(k) = R1 I1 R2 I2 ... R_k.
+// Dense Boolean matrices over 64-bit words with a saturating product,
+// implementing the matrix machinery of paper Sections 5 and 6.2:
+// R^(k) = R1 I1 R2 I2 ... R_k.
 //
 // The product kernel iterates the set bits of the left operand's rows and
 // ORs whole rows of the right operand, so a sparse left factor (the paper
-// measured intersection-matrix density ~0.01) costs proportionally less
-// while dense factors still run at full word parallelism (the paper used
-// 32-bit words; we use 64). For dense left factors the k loop is blocked
-// so a strip of right-operand rows stays cache-resident while every
-// output row in a band is updated; bands of output rows run on the
-// par::parallel_for pool. multiply_into reuses the caller's output
-// storage, which lets reach_chain (reach_matrices.cpp) ping-pong two
-// buffers instead of allocating one fresh matrix per product.
+// measured intersection-matrix density ~0.01) costs proportionally less,
+// at full word parallelism (the paper used 32-bit words; we use 64). An
+// output row only ORs into the span of its words that are not yet all
+// ones and stops once every word is full, which is most rows of R^(k) on
+// a 3D mesh; narrow dense left factors use a 4-bit table instead. Bands
+// of output rows run on the par::parallel_for pool. multiply_into reuses
+// the caller's output storage, which lets reach_chain
+// (reach_matrices.cpp) ping-pong two buffers instead of allocating one
+// fresh matrix per product.
 #pragma once
 
 #include <cstdint>

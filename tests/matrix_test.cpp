@@ -98,12 +98,13 @@ BitMatrix random_matrix(std::int64_t rows, std::int64_t cols, double density,
 }
 
 TEST(BitMatrix, MultiplyPropertyAcrossShapesAndDensities) {
-  // Covers both kernel paths (sparse-left gather below 5% density, blocked
-  // dense above) and the word-boundary edge cases: widths 1, 63, 64, 65,
-  // 127, 128 and a couple of deliberately skewed shapes.
+  // Covers both kernels: the 4-bit table (inner width <= 256 at >= 5%
+  // density) and the saturating set-bit row kernel (sparser or wider left
+  // factors, here inner widths 300 and 513), plus the word-boundary edge
+  // cases: widths 1, 63, 64, 65, 127, 128 and a few skewed shapes.
   const std::int64_t shapes[][3] = {{1, 1, 1},    {1, 64, 1},   {63, 65, 64},
                                     {64, 64, 64}, {65, 127, 33}, {128, 1, 190},
-                                    {7, 128, 65}};
+                                    {7, 128, 65}, {40, 300, 70}, {65, 513, 130}};
   Rng rng(2026);
   for (const auto& s : shapes) {
     for (const double density : {0.0, 0.01, 0.2, 0.6, 0.97}) {
@@ -111,6 +112,56 @@ TEST(BitMatrix, MultiplyPropertyAcrossShapesAndDensities) {
       const BitMatrix b = random_matrix(s[1], s[2], density, rng);
       EXPECT_EQ(BitMatrix::multiply(a, b), naive_multiply(a, b))
           << s[0] << "x" << s[1] << "x" << s[2] << " @ " << density;
+    }
+  }
+}
+
+// A random rows x cols matrix of the given density whose `never` columns
+// are all zero.
+template <typename Never>
+BitMatrix random_except(std::int64_t rows, std::int64_t cols, double density,
+                        Never never, Rng& rng) {
+  BitMatrix m(rows, cols);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (std::int64_t j = 0; j < cols; ++j) {
+      if (!never(j) && rng.bernoulli(density)) m.set(i, j);
+    }
+  }
+  return m;
+}
+
+TEST(BitMatrix, MultiplySaturatingRightFactors) {
+  // The set-bit row kernel skips output words that are already all ones
+  // and stops a row once every word is full. Right factors built so that
+  // every word fills at once, no word ever fills, or only the first or the
+  // partial last word stays open exercise each way out of that loop; the
+  // random ones fill their words over several ORs. Inner width 300 keeps
+  // even dense left factors off the table kernel.
+  Rng rng(4242);
+  for (const std::int64_t width : {64, 65, 130, 1000}) {
+    const std::int64_t last = width - 1;
+    const auto none = [](std::int64_t) { return false; };
+    const auto per_word = [](std::int64_t j) { return (j & 63) == 5; };
+    const auto last_col = [&](std::int64_t j) { return j == last; };
+    const auto first_col = [](std::int64_t j) { return j == 0; };
+    const struct {
+      const char* name;
+      BitMatrix b;
+    } rights[] = {
+        {"all ones", random_except(300, width, 1.0, none, rng)},
+        {"one open column per word",
+         random_except(300, width, 0.5, per_word, rng)},
+        {"only the last word open",
+         random_except(300, width, 0.5, last_col, rng)},
+        {"only the first word open",
+         random_except(300, width, 0.5, first_col, rng)},
+    };
+    for (const auto& right : rights) {
+      for (const double density : {0.01, 0.3, 0.97}) {
+        const BitMatrix a = random_matrix(50, 300, density, rng);
+        EXPECT_EQ(BitMatrix::multiply(a, right.b), naive_multiply(a, right.b))
+            << right.name << ", width " << width << " @ " << density;
+      }
     }
   }
 }
@@ -167,6 +218,21 @@ TEST(BitMatrix, MultiplyIdenticalAcrossThreadCounts) {
   for (int threads : {2, 8}) {
     par::set_threads(threads);
     EXPECT_EQ(BitMatrix::multiply(a, b), serial) << threads << " threads";
+  }
+  par::set_threads(0);
+}
+
+TEST(BitMatrix, SaturatingMultiplyMatchesNaiveAcrossThreadCounts) {
+  // Dense enough that nearly every output row fills long before its last
+  // set bit, and large enough (rows x out_words >= 2^14) to split into
+  // parallel row bands: each width must give the reference bits.
+  Rng rng(8);
+  const BitMatrix a = random_matrix(1024, 300, 0.3, rng);
+  const BitMatrix b = random_matrix(300, 1030, 0.4, rng);
+  const BitMatrix want = naive_multiply(a, b);
+  for (int threads : {1, 2, 8}) {
+    par::set_threads(threads);
+    EXPECT_EQ(BitMatrix::multiply(a, b), want) << threads << " threads";
   }
   par::set_threads(0);
 }

@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the performance-critical pieces
 // whose costs Section 6 analyzes: Find-SES-Partition (O(d^3 f)), the
 // prefix-sum reachability oracle (construction O(dN), queries O(d)) vs
-// the O(dn) route walk, the word-parallel Boolean matrix product, Dinic
-// on the WVC network, and the full Lamb1 pipeline scaling in f.
+// the O(dn) route walk, the word-parallel Boolean matrix product, the
+// R^(k) chain and one incremental Find-Reachability step, Dinic on the
+// WVC network, and the full Lamb1 pipeline scaling in f.
 #include <benchmark/benchmark.h>
 
 #include "core/bit_matrix.hpp"
@@ -128,6 +129,45 @@ void BM_ReachChain(benchmark::State& state) {
   par::set_threads(0);
 }
 BENCHMARK(BM_ReachChain)->ArgName("threads")->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_IncrementalReach(benchmark::State& state) {
+  // One incremental Find-Reachability on the same machine: M_3(32) with
+  // 983 random node faults (seed 1), two ascending rounds, plus one more
+  // node fault. The 983-fault capture is built once; each iteration
+  // repairs the partitions, copies R_t from the parent cells, clears the
+  // entries whose routes the new fault cuts, splices I_t and rebuilds
+  // R^(2), at the solver width given as the argument.
+  const MeshShape shape = MeshShape::cube(3, 32);
+  FaultSet faults = make_faults(shape, 983, 1);
+  const MultiRoundOrder orders = ascending_rounds(3, 2);
+  ReachCapture cap;
+  const ReachComputation prev = compute_reachability(
+      shape, faults, orders, ReachBackend::kMatrix, &cap);
+  const NodeId N = shape.size();
+  Rng rng(2);
+  NodeId id = 0;
+  do {
+    id = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(N)));
+  } while (!faults.node_good(id));
+  faults.add_node(id);
+  const std::vector<Point> delta_nodes{shape.point(id)};
+  par::set_threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    ReachComputation out;
+    ReachCapture out_cap;
+    ReachDelta delta;
+    if (!compute_reachability_incremental(shape, faults, orders, delta_nodes,
+                                          {}, prev, cap, &out, &out_cap,
+                                          &delta)) {
+      state.SkipWithError("incremental Find-Reachability bailed");
+      break;
+    }
+    benchmark::DoNotOptimize(out.rk);
+  }
+  par::set_threads(0);
+}
+BENCHMARK(BM_IncrementalReach)->ArgName("threads")->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_BipartiteWvc(benchmark::State& state) {

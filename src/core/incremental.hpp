@@ -8,20 +8,21 @@
 //      recomputed only in the outer-level peel subtrees a new fault
 //      landed in; untouched subtrees are spliced from the previous
 //      partition. Bails when the damage merges regions.
-//   2. Reach-matrix block reuse (core/reach_matrices.*): an R_t entry is
-//      copied unless a delta fault lies in the bounding box of its
-//      representative pair; I_t entries between surviving cells are
-//      copied.
+//   2. Reach-matrix reuse (core/reach_matrices.*): each R_t row and
+//      column copies the old one of its parent cell, and only entries
+//      whose dimension-ordered route passes a delta node or crosses a
+//      delta link the faulted way are cleared, by exact route masks; I_t
+//      entries between surviving cells are copied.
 //
 // R^(k) is then rebuilt from those factors by reach_chain, and the cover
 // solved cold by internal::cover_phase — both the very code the full
 // solve runs. The result is therefore bit-identical to solve_lambs on
 // the same cumulative fault set at any thread count: the two layers
-// reproduce the exact R_t and I_t, and everything after them is shared. On any condition that voids the reuse
-// (escalated or uncovered previous outcome, merged partition regions,
-// changed orderings, flood-backend regime, budget exhaustion mid-reuse)
-// the call falls back to the full solve_lambs — the caller always gets a
-// valid SolveOutcome.
+// reproduce the exact R_t and I_t, and everything after them is shared.
+// On any condition that voids the reuse (escalated or uncovered previous
+// outcome, merged partition regions, changed orderings, flood-backend
+// regime, budget exhaustion mid-reuse) the call falls back to the full
+// solve_lambs — the caller always gets a valid SolveOutcome.
 #pragma once
 
 #include <cstdint>
@@ -33,22 +34,20 @@
 #include "core/reach_matrices.hpp"
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
-#include "reach/reach_oracle.hpp"
 
 namespace lamb {
 
 // Solver state retained on a SolveOutcome (LambOptions::keep_context).
-// Owns a snapshot of the fault set it was solved against plus the oracle
-// bound to it; on a successful incremental step both are MOVED into the
-// new outcome's context (updated in place with the delta) rather than
+// Owns a snapshot of the fault set it was solved against; on a
+// successful incremental step the snapshot is MOVED into the new
+// outcome's context (updated in place with the delta) rather than
 // rebuilt, so the old context is consumed.
 struct SolveContext {
-  // Shared so the FaultSet/oracle pointers into it stay valid when the
-  // ownership of `faults`/`oracle` moves to the next epoch's context.
+  // Shared so the snapshot's pointer to its shape stays valid when the
+  // snapshot moves to the next epoch's context.
   std::shared_ptr<const MeshShape> shape;
   MultiRoundOrder orders;  // the orders the outcome was certified with
-  std::unique_ptr<FaultSet> faults;     // cumulative set at solve time
-  std::unique_ptr<ReachOracle> oracle;  // bound to *faults
+  std::unique_ptr<FaultSet> faults;  // cumulative set at solve time
   internal::LambCapture capture;
 };
 

@@ -89,6 +89,75 @@ std::vector<DimOrder> distinct_orders(const MultiRoundOrder& orders,
   return distinct;
 }
 
+// kAuto's cost model: flood wins when the per-representative
+// matrix-product work (~q^2/64 word operations) exceeds the
+// per-representative flood work (~2 k d N node visits). For random faults
+// at a few percent on the paper's meshes this picks the matrix path; for
+// fault counts comparable to N (the Section 9 gadgets) it picks flood.
+bool flood_is_cheaper(const MeshShape& shape, std::size_t rounds,
+                      std::int64_t q) {
+  const double qd = static_cast<double>(q);
+  const double flood_cost = 2.0 * static_cast<double>(rounds) * shape.dim() *
+                            static_cast<double>(shape.size());
+  return qd * qd / 64.0 > flood_cost;
+}
+
+// A monotone map of new indices to old ones, decomposed into
+// identity-with-offset runs, so a splice copies run by run at word
+// granularity.
+struct MapRuns {
+  struct Run {
+    std::int64_t dst;  // first new index of the run
+    std::int64_t src;  // first old index of the run
+    std::int64_t len;
+  };
+  std::vector<Run> runs;
+  Bits unmapped_new;  // new indices with no old counterpart
+};
+
+MapRuns make_runs(const std::vector<std::int64_t>& old_of_new) {
+  MapRuns mr;
+  const std::int64_t n = static_cast<std::int64_t>(old_of_new.size());
+  mr.unmapped_new = Bits(n);
+  for (std::int64_t j = 0; j < n; ++j) {
+    const std::int64_t o = old_of_new[static_cast<std::size_t>(j)];
+    if (o < 0) {
+      mr.unmapped_new.set(j);
+      continue;
+    }
+    if (!mr.runs.empty() && mr.runs.back().dst + mr.runs.back().len == j &&
+        mr.runs.back().src + mr.runs.back().len == o) {
+      ++mr.runs.back().len;
+    } else {
+      mr.runs.push_back({j, o, 1});
+    }
+  }
+  return mr;
+}
+
+// Fills `parent` with the old cell containing each new cell's
+// representative. A kept cell (old_of_new >= 0) is its own parent; the
+// others, about two per repair on M_3(32), are found by a scan. Returns
+// false when a representative lies in no old cell (the old partition
+// covers every then-good node, so this is defensive).
+bool parent_map(const EquivPartition& old_part, const EquivPartition& new_part,
+                const std::vector<std::int64_t>& old_of_new,
+                std::vector<std::int64_t>* parent) {
+  *parent = old_of_new;
+  for (std::size_t i = 0; i < parent->size(); ++i) {
+    if ((*parent)[i] >= 0) continue;
+    const Point rep = new_part.rep(static_cast<std::int64_t>(i));
+    std::int64_t o = 0;
+    while (o < old_part.size() &&
+           !old_part.sets[static_cast<std::size_t>(o)].contains(rep)) {
+      ++o;
+    }
+    if (o == old_part.size()) return false;
+    (*parent)[i] = o;
+  }
+  return true;
+}
+
 }  // namespace
 
 ReachComputation compute_reachability(const MeshShape& shape,
@@ -125,16 +194,9 @@ ReachComputation compute_reachability(const MeshShape& shape,
   watch.reset();
   obs::ScopedTimer matrices_timer("solver.reach_matrices");
   if (backend == ReachBackend::kAuto) {
-    // Flood wins when the per-representative matrix-product work
-    // (~q^2/64 word operations) exceeds the per-representative flood
-    // work (~2 k d N node visits). For random faults at a few percent on
-    // the paper's meshes this picks the matrix path; for fault counts
-    // comparable to N (the Section 9 gadgets) it picks flood.
-    const double q = static_cast<double>(out.last_des().size());
-    const double flood_cost = 2.0 * static_cast<double>(orders.size()) *
-                              shape.dim() * static_cast<double>(shape.size());
-    backend = (q * q / 64.0 > flood_cost) ? ReachBackend::kFlood
-                                          : ReachBackend::kMatrix;
+    backend = flood_is_cheaper(shape, orders.size(), out.last_des().size())
+                  ? ReachBackend::kFlood
+                  : ReachBackend::kMatrix;
   }
   if (backend == ReachBackend::kFlood) {
     const FloodOracle flood(shape, faults);
@@ -198,15 +260,14 @@ ReachComputation compute_reachability(const MeshShape& shape,
 
 bool compute_reachability_incremental(
     const MeshShape& shape, const FaultSet& faults,
-    const MultiRoundOrder& orders, const ReachOracle& oracle,
-    const std::vector<Point>& delta_nodes,
+    const MultiRoundOrder& orders, const std::vector<Point>& delta_nodes,
     const std::vector<LinkFault>& delta_links, const ReachComputation& prev,
     const ReachCapture& prev_cap, ReachComputation* out, ReachCapture* out_cap,
     ReachDelta* delta) {
   if (orders.empty() || !prev_cap.valid) return false;
-  // The bounding-box dirty test below assumes routes stay inside the box
-  // of their endpoints; torus routes may wrap, so the incremental path
-  // only handles plain meshes.
+  // The route masks below assume routes are monotone in every coordinate;
+  // torus routes may wrap, so the incremental path only handles plain
+  // meshes.
   if (shape.wraps()) return false;
   const int k = static_cast<int>(orders.size());
 
@@ -253,143 +314,58 @@ bool compute_reachability_incremental(
 
   watch.reset();
   obs::ScopedTimer matrices_timer("solver.reach_matrices");
-  {
-    // Same heuristic as kAuto: once the fault count grows into the flood
-    // backend's regime, hand back to the full computation.
-    const double q = static_cast<double>(res.last_des().size());
-    const double flood_cost = 2.0 * static_cast<double>(k) * shape.dim() *
-                              static_cast<double>(shape.size());
-    if (q * q / 64.0 > flood_cost) return false;
+  // Once the fault count grows into the flood backend's regime, hand back
+  // to the full computation.
+  if (flood_is_cheaper(shape, orders.size(), res.last_des().size())) {
+    return false;
   }
 
-  // Delta endpoints for the bounding-box dirty test. A dimension-ordered
-  // route from v to w never leaves box(v, w), so entry (i, j) can only
-  // change if a delta node lies in the box — or, for a link, both of its
-  // endpoints do (a traversed link has both endpoints on the route).
-  std::vector<std::pair<Point, Point>> dpts;
-  dpts.reserve(delta_nodes.size() + delta_links.size());
-  for (const Point& p : delta_nodes) dpts.emplace_back(p, p);
-  for (const LinkFault& lf : delta_links) {
-    Point b = lf.from;
-    b[lf.dim] += lf.dir == Dir::Pos ? 1 : -1;
-    dpts.emplace_back(lf.from, b);
-  }
-
-  // The old-of-new maps from partition repair are monotone, so they
-  // decompose into a handful of identity-with-offset runs. Every splice
-  // below works run-by-run at word granularity; the per-entry loops this
-  // replaces cost as much as the oracle calls they saved, which is why
-  // the incremental path used to break even.
-  struct MapRuns {
-    struct Run {
-      std::int64_t dst;  // first new index of the run
-      std::int64_t src;  // first old index of the run
-      std::int64_t len;
-    };
-    std::vector<Run> runs;
-    Bits unmapped_new;  // new indices with no old counterpart
-  };
-  auto make_runs = [](const std::vector<std::int64_t>& old_of_new) {
-    MapRuns mr;
-    const std::int64_t n = static_cast<std::int64_t>(old_of_new.size());
-    mr.unmapped_new = Bits(n);
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int64_t o = old_of_new[static_cast<std::size_t>(j)];
-      if (o < 0) {
-        mr.unmapped_new.set(j);
-        continue;
-      }
-      if (!mr.runs.empty() && mr.runs.back().dst + mr.runs.back().len == j &&
-          mr.runs.back().src + mr.runs.back().len == o) {
-        ++mr.runs.back().len;
-      } else {
-        mr.runs.push_back({j, o, 1});
-      }
-    }
-    return mr;
-  };
-  // Content maps: R entries depend only on the representatives and the
-  // fault set, never on cell extents, so a new cell whose representative
-  // matches an old cell's (the usual outcome of a split — one piece keeps
-  // the lower corner) reuses that row or column by value. Cell-identity
-  // maps are kept alongside for the intersection splice, which does
-  // depend on extents.
-  std::vector<std::vector<std::int64_t>> cses_map = ses_map;
-  std::vector<std::vector<std::int64_t>> cdes_map = des_map;
-  auto upgrade_by_rep = [&shape](const EquivPartition& old_part,
-                                 const EquivPartition& new_part,
-                                 std::vector<std::int64_t>* map) {
-    // Cells are disjoint and the representative is the lower corner, so
-    // representatives are unique on both sides and the map stays
-    // injective. Unmapped cells are rare (a handful per repair), so a
-    // linear scan over the old representatives beats building an index.
-    for (std::size_t i = 0; i < map->size(); ++i) {
-      if ((*map)[i] >= 0) continue;
-      const NodeId target =
-          shape.index(new_part.rep(static_cast<std::int64_t>(i)));
-      for (std::int64_t o = 0; o < old_part.size(); ++o) {
-        if (shape.index(old_part.rep(o)) == target) {
-          (*map)[i] = o;
-          break;
-        }
-      }
-    }
-  };
-  // Parent maps: the old-partition cell containing a new cell's
-  // representative. By the partition's uniformity guarantee, reach under
-  // the OLD fault set between any members of two old cells equals reach
-  // between their representatives — so even a brand-new cell (a split
-  // piece that kept neither corner) sources its row or column from the
-  // parent's, and the delta masks below apply the new faults exactly.
-  // Unlike the content maps these are not injective (several pieces may
-  // share a parent), so they are value-reuse only, never a run splice.
-  auto parent_of = [](const EquivPartition& old_part,
-                      const Point& rep) -> std::int64_t {
-    for (std::int64_t o = 0; o < old_part.size(); ++o) {
-      if (old_part.sets[static_cast<std::size_t>(o)].contains(rep)) return o;
-    }
-    return -1;
-  };
+  // Parent maps: the old cell containing each new cell's representative
+  // (a kept cell is its own parent). By the partition's uniformity
+  // guarantee, reach under the OLD fault set between any members of two
+  // old cells equals reach between their representatives, so every new
+  // R entry starts as the old entry of its row and column parents, and
+  // the delta masks below apply the new faults exactly. Several new cells
+  // may share a parent, which is fine for copying.
+  std::vector<std::vector<std::int64_t>> ses_parent(nu);
   std::vector<MapRuns> ses_runs(nu);
-  std::vector<MapRuns> cdes_runs(nu);
-  std::vector<std::vector<std::int64_t>> pses_map(nu);
-  std::vector<std::vector<std::int64_t>> pdes_map(nu);
+  std::vector<MapRuns> des_parent_runs(nu);
   for (std::size_t u = 0; u < nu; ++u) {
-    upgrade_by_rep(prev.ses[u], res.ses[u], &cses_map[u]);
-    upgrade_by_rep(prev.des[u], res.des[u], &cdes_map[u]);
+    std::vector<std::int64_t> des_parent;
+    if (!parent_map(prev.ses[u], res.ses[u], ses_map[u], &ses_parent[u]) ||
+        !parent_map(prev.des[u], res.des[u], des_map[u], &des_parent)) {
+      return false;
+    }
     ses_runs[u] = make_runs(ses_map[u]);
-    cdes_runs[u] = make_runs(cdes_map[u]);
-    pses_map[u].assign(cses_map[u].size(), -1);
-    pdes_map[u].assign(cdes_map[u].size(), -1);
-    for (std::size_t i = 0; i < cses_map[u].size(); ++i) {
-      if (cses_map[u][i] < 0) {
-        pses_map[u][i] =
-            parent_of(prev.ses[u], res.ses[u].rep(static_cast<std::int64_t>(i)));
-      }
-    }
-    for (std::size_t j = 0; j < cdes_map[u].size(); ++j) {
-      if (cdes_map[u][j] < 0) {
-        pdes_map[u][j] =
-            parent_of(prev.des[u], res.des[u].rep(static_cast<std::int64_t>(j)));
-      }
-    }
+    des_parent_runs[u] = make_runs(des_parent);
   }
 
-  // Layer 2: per-ordering R_u with entry-level reuse.
+  // Route-mask endpoints: the delta nodes, then both ends of each delta
+  // link. A dimension-ordered route is monotone in every coordinate, so
+  // it holds both ends of a link exactly when it crosses that link, and
+  // it crosses away from its source's side. Entry (i, j) turns 0 iff its
+  // route passes a delta node or crosses a delta link in a faulted
+  // direction; every other entry keeps its old value (the incremental
+  // path only adds faults, so a 0 stays 0).
+  std::vector<Point> ends = delta_nodes;
+  for (const LinkFault& lf : delta_links) {
+    Point to = lf.from;
+    to[lf.dim] += dir_sign(lf.dir);
+    ends.push_back(lf.from);
+    ends.push_back(to);
+  }
+
+  // Layer 2: per-ordering R_u, copied from the parents and cleared by the
+  // delta masks.
   const int d = shape.dim();
   std::vector<BitMatrix> r(nu);
   for (std::size_t u = 0; u < nu; ++u) {
     const EquivPartition& ses = res.ses[u];
     const EquivPartition& des = res.des[u];
     const BitMatrix& old_r = prev_cap.r[u];
-    const std::vector<std::int64_t>& smap = cses_map[u];
-    const std::vector<std::int64_t>& pses = pses_map[u];
-    const std::vector<std::int64_t>& pdes = pdes_map[u];
+    const std::vector<std::int64_t>& sparent = ses_parent[u];
     const std::int64_t p = ses.size();
     const std::int64_t q = des.size();
-    std::vector<Point> des_reps;
-    des_reps.reserve(static_cast<std::size_t>(q));
-    for (std::int64_t j = 0; j < q; ++j) des_reps.push_back(des.rep(j));
 
     // Per delta endpoint e and dimension dd: DES columns whose
     // representative has coord dd >= the endpoint's (ge), <= it (le), or
@@ -397,70 +373,52 @@ bool compute_reachability_incremental(
     // from v to rep_j" into a few word-wide ANDs per row below; only the
     // coordinates the delta actually touches get a mask, not full
     // per-coordinate tables.
-    const std::int64_t ne = 2 * static_cast<std::int64_t>(dpts.size());
-    std::vector<Bits> ge_ep(static_cast<std::size_t>(ne * d), Bits(q));
-    std::vector<Bits> le_ep(static_cast<std::size_t>(ne * d), Bits(q));
-    std::vector<Bits> eq_ep(static_cast<std::size_t>(ne * d), Bits(q));
-    for (std::int64_t e = 0; e < ne; ++e) {
-      const Point& x = (e & 1) == 0 ? dpts[static_cast<std::size_t>(e >> 1)].first
-                                    : dpts[static_cast<std::size_t>(e >> 1)].second;
-      for (int dd = 0; dd < d; ++dd) {
-        Bits& gmask = ge_ep[static_cast<std::size_t>(e * d + dd)];
-        Bits& lmask = le_ep[static_cast<std::size_t>(e * d + dd)];
-        Bits& emask = eq_ep[static_cast<std::size_t>(e * d + dd)];
-        for (std::int64_t j = 0; j < q; ++j) {
-          const Coord c = des_reps[static_cast<std::size_t>(j)][dd];
-          if (c >= x[dd]) gmask.set(j);
-          if (c <= x[dd]) lmask.set(j);
-          if (c == x[dd]) emask.set(j);
+    const std::size_t ne = ends.size();
+    std::vector<Bits> ge_ep(ne * static_cast<std::size_t>(d), Bits(q));
+    std::vector<Bits> le_ep(ne * static_cast<std::size_t>(d), Bits(q));
+    std::vector<Bits> eq_ep(ne * static_cast<std::size_t>(d), Bits(q));
+    for (std::int64_t j = 0; j < q; ++j) {
+      const Point w = des.rep(j);
+      for (std::size_t e = 0; e < ne; ++e) {
+        for (int dd = 0; dd < d; ++dd) {
+          const std::size_t at = e * static_cast<std::size_t>(d) +
+                                 static_cast<std::size_t>(dd);
+          if (w[dd] >= ends[e][dd]) ge_ep[at].set(j);
+          if (w[dd] <= ends[e][dd]) le_ep[at].set(j);
+          if (w[dd] == ends[e][dd]) eq_ep[at].set(j);
         }
       }
     }
     Bits all_cols(q);
     for (std::int64_t j = 0; j < q; ++j) all_cols.set(j);
-    const std::size_t num_node_dpts = delta_nodes.size();
 
     r[u] = BitMatrix(p, q);
-    std::vector<std::int64_t> recomputed(static_cast<std::size_t>(p), 0);
-    const MapRuns& druns = cdes_runs[u];
+    std::vector<std::int64_t> cleared(static_cast<std::size_t>(p), 0);
+    const MapRuns& druns = des_parent_runs[u];
     BitMatrix& ru = r[u];
     // Row bands, each writing disjoint rows and its own counters:
     // deterministic at any thread count.
     par::parallel_for(0, p, 0, [&](std::int64_t i0, std::int64_t i1) {
       // Scratch masks live outside the row loop so the copy-assignments
       // below reuse their buffers instead of reallocating per row.
-      Bits node_dirty(q);
-      Bits link_dirty(q);
+      Bits dirty(q);
       Bits m(q);
       Bits m2(q);
       Bits pe(q);
       Bits term(q);
       for (std::int64_t i = i0; i < i1; ++i) {
-        const std::int64_t oic = smap[static_cast<std::size_t>(i)];
-        const std::int64_t oi =
-            oic >= 0 ? oic : pses[static_cast<std::size_t>(i)];
         const Point v = ses.rep(i);
-        if (oi < 0) {
-          // No old counterpart and no parent (defensive; the old
-          // partition covers every then-good node): full oracle row.
-          for (std::int64_t j = 0; j < q; ++j) {
-            if (oracle.reach1(v, des_reps[static_cast<std::size_t>(j)],
-                              distinct[u])) {
-              ru.set(i, j);
-            }
-          }
-          recomputed[static_cast<std::size_t>(i)] = q;
-          continue;
-        }
-        // Columns j whose dimension-ordered route from v to rep_j passes
-        // through endpoint x. The route corrects dimensions in `order`;
-        // x sits on the segment at position t iff the already-corrected
-        // coordinates match x on the destination side (eq masks), the
-        // not-yet-corrected ones match x on the source side (scalar
-        // compares against v), and x's coordinate in the segment
-        // dimension lies between v's and the destination's.
-        auto route_mask = [&](std::int64_t e, const Point& x, Bits* out) {
-          out->clear();
+        // ORs into `out` the columns j whose dimension-ordered route from v
+        // to rep_j passes through endpoint e. The route corrects
+        // dimensions in `order`; the endpoint sits on the segment at
+        // position t iff the already-corrected coordinates match it on the
+        // destination side (eq masks), the not-yet-corrected ones match it
+        // on the source side (scalar compares against v), and its
+        // coordinate in the segment dimension lies between v's and the
+        // destination's.
+        auto route_mask = [&](std::size_t e, Bits* out) {
+          const Point& x = ends[e];
+          const std::size_t base = e * static_cast<std::size_t>(d);
           int t_min = 0;
           for (int t = 0; t < d; ++t) {
             if (v[distinct[u].at(t)] != x[distinct[u].at(t)]) t_min = t;
@@ -468,81 +426,52 @@ bool compute_reachability_incremental(
           pe = all_cols;
           for (int t = 0; t < d; ++t) {
             const int dd = distinct[u].at(t);
+            const std::size_t at = base + static_cast<std::size_t>(dd);
             if (t >= t_min) {
               term = pe;
               if (x[dd] > v[dd]) {
-                term &= ge_ep[static_cast<std::size_t>(e * d + dd)];
+                term &= ge_ep[at];
               } else if (x[dd] < v[dd]) {
-                term &= le_ep[static_cast<std::size_t>(e * d + dd)];
+                term &= le_ep[at];
               }
               *out |= term;
             }
             if (t + 1 < d) {
-              pe &= eq_ep[static_cast<std::size_t>(e * d + dd)];
+              pe &= eq_ep[at];
               if (!pe.any()) break;
             }
           }
         };
-        node_dirty.clear();
-        link_dirty.clear();
-        for (std::size_t dp = 0; dp < dpts.size(); ++dp) {
-          if (dp < num_node_dpts) {
-            route_mask(static_cast<std::int64_t>(2 * dp), dpts[dp].first, &m);
-            node_dirty |= m;
-          } else {
-            // Traversing the faulted link requires both of its endpoints
-            // on the route: the mask intersection is a sound superset.
-            route_mask(static_cast<std::int64_t>(2 * dp), dpts[dp].first, &m);
-            route_mask(static_cast<std::int64_t>(2 * dp + 1), dpts[dp].second,
-                       &m2);
-            m &= m2;
-            link_dirty |= m;
-          }
+        dirty.clear();
+        for (std::size_t e = 0; e < delta_nodes.size(); ++e) {
+          route_mask(e, &dirty);
         }
-        // Clean mapped entries are copied run-by-run at word granularity;
-        // the row itself may be a parent copy (oic < 0), which is the old
-        // reachability of every member of the parent cell, v included.
+        for (std::size_t l = 0; l < delta_links.size(); ++l) {
+          const LinkFault& lf = delta_links[l];
+          if (!lf.bidirectional &&
+              (v[lf.dim] - lf.from[lf.dim]) * dir_sign(lf.dir) > 0) {
+            continue;  // routes from v cross this link the healthy way
+          }
+          const std::size_t e = delta_nodes.size() + 2 * l;
+          m.clear();
+          m2.clear();
+          route_mask(e, &m);
+          route_mask(e + 1, &m2);
+          m &= m2;
+          dirty |= m;
+        }
+        // The row and every column run copy from their parents: the old
+        // reachability of every member of those cells, v included.
+        const std::int64_t oi = sparent[static_cast<std::size_t>(i)];
         for (const auto& run : druns.runs) {
           ru.copy_row_range(i, run.dst, old_r, oi, run.src, run.len);
         }
-        std::int64_t rec = 0;
-        // Brand-new columns source their old value from the parent cell
-        // the same way; only a parentless column (defensive) asks the
-        // oracle.
-        druns.unmapped_new.for_each([&](std::int64_t j) {
-          const std::int64_t pj = pdes[static_cast<std::size_t>(j)];
-          if (pj >= 0) {
-            if (old_r.get(oi, pj)) ru.set(i, j);
-          } else if (oracle.reach1(v, des_reps[static_cast<std::size_t>(j)],
-                                   distinct[u])) {
-            ru.set(i, j);
-          }
-          ++rec;
-        });
-        // Node deltas need no oracle at all: the route point set is
-        // fault-independent, so a copied 1 whose route passes through a
-        // newly faulted node flips to 0 deterministically, and a copied 0
-        // stays 0 by monotonicity (the incremental path only adds
-        // faults).
-        rec += ru.row_clear_masked(i, node_dirty);
-        // Link deltas keep the oracle check on surviving 1s: the mask is
-        // a superset of actual traversals, and link direction matters.
-        if (link_dirty.any()) {
-          link_dirty.for_each([&](std::int64_t j) {
-            if (!ru.get(i, j)) return;
-            if (!oracle.reach1(v, des_reps[static_cast<std::size_t>(j)],
-                               distinct[u])) {
-              ru.reset(i, j);
-            }
-            ++rec;
-          });
-        }
-        recomputed[static_cast<std::size_t>(i)] = rec;
+        cleared[static_cast<std::size_t>(i)] = ru.row_clear_masked(i, dirty);
       }
     });
     for (std::int64_t i = 0; i < p; ++i) {
-      delta->blocks_recomputed += recomputed[static_cast<std::size_t>(i)];
-      delta->blocks_reused += q - recomputed[static_cast<std::size_t>(i)];
+      delta->blocks_recomputed += cleared[static_cast<std::size_t>(i)];
+      delta->blocks_reused += q - cleared[static_cast<std::size_t>(i)];
     }
   }
 

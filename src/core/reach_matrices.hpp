@@ -79,8 +79,8 @@ struct ReachCapture {
 struct ReachDelta {
   std::int64_t partition_cells_reused = 0;
   std::int64_t partition_cells_recomputed = 0;
-  // "Blocks" are R_t entries: copied from the previous run, versus
-  // re-queried or cleared by a delta fault on their route.
+  // "Blocks" are R_t entries: kept from the previous run's parent entry,
+  // versus cleared by a delta mask (a 1 whose route a delta fault cuts).
   std::int64_t blocks_reused = 0;
   std::int64_t blocks_recomputed = 0;
 };
@@ -99,20 +99,20 @@ ReachComputation compute_reachability(const MeshShape& shape,
 // Incremental Find-Reachability: recomputes `prev` (captured as
 // `prev_cap`) after `delta_nodes` / `delta_links` were added, producing
 // exactly what compute_reachability(shape, faults, orders, kMatrix)
-// would. `faults` is the new cumulative set and `oracle` must already be
-// bound to it. Partitions are repaired locally; an R_t entry is copied
-// whenever both its representatives survived the repair unchanged and no
-// delta fault lies in the bounding box of the pair (a dimension-ordered
-// route never leaves that box); I_t entries between unchanged cells are
-// copied. R^(k) is then rebuilt by reach_chain, the same code the full
-// solve runs. Returns false — caller must fall back to the full
-// computation — when the partition repair bails, the orderings do not
-// match the capture, or the fault count has grown into the flood
+// would. `faults` is the new cumulative set. Partitions are repaired
+// locally; each new R_t row and column copies the old one of its parent
+// (the old cell holding its representative), and the entries whose
+// dimension-ordered route passes a delta node or crosses a delta link in
+// a faulted direction are cleared by exact route masks, with no
+// reachability query. I_t entries between unchanged cells are copied.
+// R^(k) is then rebuilt by reach_chain, the same code the full solve
+// runs. Returns false — caller must fall back to the full computation —
+// when the partition repair bails, the orderings do not match the
+// capture, the mesh wraps, or the fault count has grown into the flood
 // backend's regime.
 bool compute_reachability_incremental(
     const MeshShape& shape, const FaultSet& faults,
-    const MultiRoundOrder& orders, const ReachOracle& oracle,
-    const std::vector<Point>& delta_nodes,
+    const MultiRoundOrder& orders, const std::vector<Point>& delta_nodes,
     const std::vector<LinkFault>& delta_links, const ReachComputation& prev,
     const ReachCapture& prev_cap, ReachComputation* out, ReachCapture* out_cap,
     ReachDelta* delta);

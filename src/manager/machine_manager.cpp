@@ -26,6 +26,23 @@ constexpr std::uint8_t kRecLinkFault = 2;    // i64 from id, i32 dim, u8 dir
 constexpr std::uint8_t kRecDegrade = 3;      // i64 node id, f64 value
 constexpr std::uint8_t kRecReconfigure = 4;  // i32 epoch produced
 
+// Calls fn(id) for every good node not in `lambs`, in ascending order.
+// `lambs` is sorted: one merge walk instead of a binary search per node
+// keeps this O(N), for the reconfigure count and every table capture.
+template <typename Fn>
+void for_each_survivor(NodeId n, const FaultSet& faults,
+                       const std::vector<NodeId>& lambs, Fn&& fn) {
+  auto next_lamb = lambs.begin();
+  for (NodeId id = 0; id < n; ++id) {
+    while (next_lamb != lambs.end() && *next_lamb < id) ++next_lamb;
+    if (faults.node_faulty(id) ||
+        (next_lamb != lambs.end() && *next_lamb == id)) {
+      continue;
+    }
+    fn(id);
+  }
+}
+
 }  // namespace
 
 MachineManager::MachineManager(const MeshShape& shape, LambOptions options,
@@ -217,18 +234,10 @@ EpochReport MachineManager::reconfigure() {
 
   report.survivors = 0;
   report.survivor_value = 0.0;
-  // lambs_ is sorted: one merge-style walk instead of a binary search per
-  // node keeps this O(N) — reconfigure latency is on the recovery path.
-  auto next_lamb = lambs_.begin();
-  for (NodeId id = 0; id < shape_->size(); ++id) {
-    while (next_lamb != lambs_.end() && *next_lamb < id) ++next_lamb;
-    if (faults_.node_faulty(id) ||
-        (next_lamb != lambs_.end() && *next_lamb == id)) {
-      continue;
-    }
+  for_each_survivor(shape_->size(), faults_, lambs_, [&](NodeId id) {
     ++report.survivors;
     report.survivor_value += values_[static_cast<std::size_t>(id)];
-  }
+  });
 
   // Route cache: when the routing rounds are unchanged, the cached floods
   // were built against the same orders and only the newly reported faults
@@ -406,9 +415,8 @@ bool MachineManager::is_survivor(NodeId id) const {
 std::vector<NodeId> MachineManager::survivors() const {
   require_configured();
   std::vector<NodeId> out;
-  for (NodeId id = 0; id < shape_->size(); ++id) {
-    if (is_survivor(id)) out.push_back(id);
-  }
+  for_each_survivor(shape_->size(), faults_, lambs_,
+                    [&](NodeId id) { out.push_back(id); });
   return out;
 }
 

@@ -30,17 +30,7 @@ class ReachOracle {
   // Whether w is (F, pi)-reachable from v.
   bool reach1(const Point& v, const Point& w, const DimOrder& order) const;
 
-  // Incremental prefix-count maintenance for the incremental solver: the
-  // bound FaultSet has just gained the given fault (it must already
-  // contain it); updates the affected grid lines in O(d * width) instead
-  // of rebuilding in O(d * N). The directed-link variant must be called
-  // once per direction that actually turned faulty (a bidirectional
-  // report whose directions were both already bad needs no call).
-  void apply_node_fault(const Point& p);
-  void apply_directed_link_fault(const Point& from, int dim, Dir dir);
-
  private:
-  void build_link_prefixes();
   // Faulty nodes on the line through `line0` (node id with coordinate j
   // zeroed) with coordinate j in [lo, hi].
   std::int64_t faulty_nodes(NodeId line0, int j, Coord lo, Coord hi) const;

@@ -6,11 +6,13 @@
 // selectively invalidated route cache.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <utility>
 #include <vector>
 
 #include "core/incremental.hpp"
 #include "core/lamb.hpp"
+#include "core/reach_matrices.hpp"
 #include "manager/machine_manager.hpp"
 #include "mesh/fault_set.hpp"
 #include "support/parallel.hpp"
@@ -44,8 +46,13 @@ NodeId random_good_node(const MeshShape& shape, const FaultSet& faults,
   }
 }
 
-// Adds one random not-yet-faulty bidirectional link fault.
-void add_random_link(const MeshShape& shape, FaultSet& faults, Rng& rng) {
+// Which link faults a storm mixes in with its node faults.
+enum class Links { kNone, kTwoWay, kOneWay };
+
+// Adds one random link fault that is not yet fully faulty: bidirectional,
+// or for Links::kOneWay one direction only.
+void add_random_link(const MeshShape& shape, FaultSet& faults, Rng& rng,
+                     Links links = Links::kTwoWay) {
   for (;;) {
     const Point from = shape.point(
         static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(shape.size()))));
@@ -54,6 +61,11 @@ void add_random_link(const MeshShape& shape, FaultSet& faults, Rng& rng) {
     const Dir dir = rng.below(2) == 0 ? Dir::Pos : Dir::Neg;
     Point nb;
     if (!shape.neighbor(from, dim, dir, &nb)) continue;
+    if (links == Links::kOneWay) {
+      if (faults.link_faulty(from, dim, dir)) continue;
+      faults.add_directed_link(from, dim, dir);
+      return;
+    }
     if (faults.link_faulty(from, dim, dir) &&
         faults.link_faulty(nb, dim, opposite(dir))) {
       continue;
@@ -64,13 +76,14 @@ void add_random_link(const MeshShape& shape, FaultSet& faults, Rng& rng) {
 }
 
 // Runs a storm: `initial` node faults up front, then `epochs` epochs of
-// `per_epoch` new faults each, chaining solve_lambs_incremental and
-// checking it against a from-scratch solve every epoch. Returns how many
+// `per_epoch` new faults each (about half of them links of kind `links`,
+// unless it is kNone), chaining solve_lambs_incremental and checking it
+// against a from-scratch solve every epoch. Returns how many
 // epochs the incremental path actually produced (vs fell back).
 // `options` sets the rounds or orderings; the context is kept regardless.
 // `first`, when set, receives the stats of the initial solve.
 int run_storm(const MeshShape& shape, std::uint64_t seed, int initial,
-              int epochs, int per_epoch, bool with_links,
+              int epochs, int per_epoch, Links links,
               LambOptions options = {}, LambStats* first = nullptr) {
   Rng rng(seed);
   FaultSet faults(shape);
@@ -84,8 +97,8 @@ int run_storm(const MeshShape& shape, std::uint64_t seed, int initial,
   int used = 0;
   for (int e = 0; e < epochs; ++e) {
     for (int i = 0; i < per_epoch; ++i) {
-      if (with_links && rng.below(2) == 0) {
-        add_random_link(shape, faults, rng);
+      if (links != Links::kNone && rng.below(2) == 0) {
+        add_random_link(shape, faults, rng, links);
       } else {
         faults.add_node(random_good_node(shape, faults, rng));
       }
@@ -108,24 +121,47 @@ int run_storm(const MeshShape& shape, std::uint64_t seed, int initial,
 }
 
 TEST(Incremental, NodeStormMatchesFullSolve) {
-  const int used = run_storm(MeshShape::cube(2, 16), 901, 10, 8, 1, false);
+  const int used =
+      run_storm(MeshShape::cube(2, 16), 901, 10, 8, 1, Links::kNone);
   // The point of the suite is equivalence, but it is vacuous if the
   // incremental path never engages.
   EXPECT_GT(used, 0);
 }
 
 TEST(Incremental, LinkStormMatchesFullSolve) {
-  const int used = run_storm(MeshShape::cube(2, 14), 902, 8, 8, 1, true);
+  const int used =
+      run_storm(MeshShape::cube(2, 14), 902, 8, 8, 1, Links::kTwoWay);
   EXPECT_GT(used, 0);
+}
+
+TEST(Incremental, OneWayLinkStormMatchesFullSolve) {
+  // Directed link faults clear only the routes that cross the link the
+  // faulted way, so these storms pin the direction test of the R_t masks:
+  // small meshes and two or three faults an epoch, so lamb sets depend
+  // on one-way links. (On M_3 at k = 3 nearly every pair stays reachable;
+  // that storm checks equivalence only.)
+  LambOptions three;
+  three.rounds = 3;
+  EXPECT_GT(run_storm(MeshShape::cube(2, 10), 921, 6, 10, 2, Links::kOneWay),
+            0);
+  EXPECT_GT(run_storm(MeshShape::cube(3, 6), 922, 4, 12, 3, Links::kOneWay),
+            0);
+  EXPECT_GT(run_storm(MeshShape::cube(2, 8), 923, 4, 10, 2, Links::kOneWay,
+                      three),
+            0);
+  EXPECT_GT(run_storm(MeshShape::cube(3, 8), 924, 8, 5, 1, Links::kOneWay,
+                      three),
+            0);
 }
 
 TEST(Incremental, BurstStormMatchesFullSolve) {
   // Multi-fault epochs stress the bail-to-full region-merge logic.
-  run_storm(MeshShape::cube(2, 16), 903, 6, 5, 4, true);
+  run_storm(MeshShape::cube(2, 16), 903, 6, 5, 4, Links::kTwoWay);
 }
 
 TEST(Incremental, ThreeDimensionalStormMatchesFullSolve) {
-  const int used = run_storm(MeshShape::cube(3, 8), 904, 8, 6, 1, false);
+  const int used =
+      run_storm(MeshShape::cube(3, 8), 904, 8, 6, 1, Links::kNone);
   EXPECT_GT(used, 0);
 }
 
@@ -140,10 +176,12 @@ LambOptions with_orders(MultiRoundOrder orders) {
 TEST(Incremental, ThreeRoundStormMatchesFullSolve) {
   LambOptions options;
   options.rounds = 3;
-  EXPECT_GT(run_storm(MeshShape::cube(2, 16), 911, 10, 6, 1, true, options),
+  EXPECT_GT(run_storm(MeshShape::cube(2, 16), 911, 10, 6, 1, Links::kTwoWay,
+                      options),
             0);
-  EXPECT_GT(run_storm(MeshShape::cube(3, 8), 912, 8, 5, 1, false, options),
-            0);
+  EXPECT_GT(
+      run_storm(MeshShape::cube(3, 8), 912, 8, 5, 1, Links::kNone, options),
+      0);
 }
 
 TEST(Incremental, MixedOrderStormMatchesFullSolve) {
@@ -151,13 +189,13 @@ TEST(Incremental, MixedOrderStormMatchesFullSolve) {
   const DimOrder yx = DimOrder::descending(2);
   const DimOrder xyz = DimOrder::ascending(3);
   const DimOrder zyx = DimOrder::descending(3);
-  EXPECT_GT(run_storm(MeshShape::cube(2, 16), 913, 10, 6, 1, true,
+  EXPECT_GT(run_storm(MeshShape::cube(2, 16), 913, 10, 6, 1, Links::kTwoWay,
                       with_orders({xy, yx})),
             0);
-  EXPECT_GT(run_storm(MeshShape::cube(2, 16), 914, 10, 6, 1, false,
+  EXPECT_GT(run_storm(MeshShape::cube(2, 16), 914, 10, 6, 1, Links::kNone,
                       with_orders({xy, yx, xy})),
             0);
-  EXPECT_GT(run_storm(MeshShape::cube(3, 8), 915, 8, 5, 1, false,
+  EXPECT_GT(run_storm(MeshShape::cube(3, 8), 915, 8, 5, 1, Links::kNone,
                       with_orders({xyz, zyx, xyz})),
             0);
 }
@@ -168,18 +206,110 @@ TEST(Incremental, WideFactorThreeRoundStormMatchesFullSolve) {
   LambOptions options;
   options.rounds = 3;
   LambStats first;
-  EXPECT_GT(run_storm(MeshShape::cube(2, 60), 916, 260, 3, 1, true, options,
-                      &first),
+  EXPECT_GT(run_storm(MeshShape::cube(2, 60), 916, 260, 3, 1, Links::kTwoWay,
+                      options, &first),
             0);
   EXPECT_GT(first.p, 256);
   EXPECT_GT(first.q, 256);
+}
+
+// Differential check one layer down from the storms: on seeded small
+// meshes, every incremental Find-Reachability that does not bail must
+// reproduce the full computation's partitions, R_u, I_t and R^(k) bit for
+// bit, not just the lamb set the cover happens to pick from them.
+TEST(Incremental, ReachFactorsMatchFullComputation) {
+  int checked = 0;
+  int bailed = 0;
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(930 + seed);
+    const int d = 2 + static_cast<int>(seed % 2);
+    const int k = 1 + static_cast<int>((seed / 2) % 3);
+    std::vector<Coord> widths;
+    for (int j = 0; j < d; ++j) {
+      widths.push_back(static_cast<Coord>(
+          (d == 2 ? 6 : 4) + rng.below(d == 2 ? 9 : 4)));
+    }
+    const MeshShape shape = MeshShape::mesh(widths);
+    MultiRoundOrder orders;
+    for (int t = 0; t < k; ++t) {
+      std::vector<int> perm(static_cast<std::size_t>(d));
+      for (int j = 0; j < d; ++j) perm[static_cast<std::size_t>(j)] = j;
+      for (int j = d - 1; j > 0; --j) {
+        std::swap(perm[static_cast<std::size_t>(j)],
+                  perm[rng.below(static_cast<std::uint64_t>(j + 1))]);
+      }
+      orders.emplace_back(std::move(perm));
+    }
+    FaultSet faults(shape);
+    const int initial = 2 + static_cast<int>(shape.size() / 40);
+    for (int i = 0; i < initial; ++i) {
+      faults.add_node(random_good_node(shape, faults, rng));
+    }
+    ReachCapture cap;
+    ReachComputation reach = compute_reachability(
+        shape, faults, orders, ReachBackend::kMatrix, &cap);
+    for (int epoch = 0; epoch < 10; ++epoch) {
+      // One to three faults per epoch: nodes, two-way and one-way links.
+      std::vector<Point> delta_nodes;
+      std::vector<LinkFault> delta_links;
+      const std::size_t links_before = faults.link_faults().size();
+      const int per_epoch = 1 + static_cast<int>(rng.below(3));
+      for (int i = 0; i < per_epoch; ++i) {
+        const std::uint64_t kind = rng.below(3);
+        if (kind == 0) {
+          const NodeId id = random_good_node(shape, faults, rng);
+          faults.add_node(id);
+          delta_nodes.push_back(shape.point(id));
+        } else {
+          add_random_link(shape, faults, rng,
+                          kind == 1 ? Links::kTwoWay : Links::kOneWay);
+        }
+      }
+      const std::vector<LinkFault>& now = faults.link_faults();
+      delta_links.assign(now.begin() + static_cast<std::ptrdiff_t>(links_before),
+                         now.end());
+      ReachCapture full_cap;
+      ReachComputation full = compute_reachability(
+          shape, faults, orders, ReachBackend::kMatrix, &full_cap);
+      ReachComputation inc;
+      ReachCapture inc_cap;
+      ReachDelta delta;
+      if (!compute_reachability_incremental(shape, faults, orders, delta_nodes,
+                                            delta_links, reach, cap, &inc,
+                                            &inc_cap, &delta)) {
+        ++bailed;
+        reach = std::move(full);
+        cap = std::move(full_cap);
+        continue;
+      }
+      ++checked;
+      ASSERT_EQ(inc.ses.size(), full.ses.size());
+      for (std::size_t u = 0; u < full.ses.size(); ++u) {
+        EXPECT_EQ(inc.ses[u].sets, full.ses[u].sets);
+        EXPECT_EQ(inc.des[u].sets, full.des[u].sets);
+      }
+      EXPECT_EQ(inc_cap.r, full_cap.r);
+      EXPECT_EQ(inc_cap.inters, full_cap.inters);
+      EXPECT_EQ(inc.rk, full.rk);
+      // Chain the incremental result, so reuse compounds across epochs.
+      reach = std::move(inc);
+      cap = std::move(inc_cap);
+    }
+  }
+  RecordProperty("checked_epochs", checked);
+  RecordProperty("bailed_epochs", bailed);
+  std::printf("reach differential: %d epochs checked, %d bailed\n", checked,
+              bailed);
+  EXPECT_GT(checked, 3 * bailed);
 }
 
 TEST(Incremental, EquivalentAtEveryPoolWidth) {
   for (const int threads : {1, 4, 16}) {
     SCOPED_TRACE(threads);
     par::set_threads(threads);
-    const int used = run_storm(MeshShape::cube(2, 16), 905, 10, 5, 1, false);
+    const int used =
+        run_storm(MeshShape::cube(2, 16), 905, 10, 5, 1, Links::kNone);
     EXPECT_GT(used, 0);
   }
   par::set_threads(0);
